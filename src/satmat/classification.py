@@ -18,9 +18,9 @@ qualifying entry, property (i) the canonically-first failing face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
-from .core import Coord, CrossSectionSpec, Matrix01
+from .core import Coord, CrossSectionSpec, Matrix01, iter_faces
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ def property_ii(p: Matrix01) -> Coord | None:
 def property_i(p: Matrix01) -> CrossSectionSpec | None:
     """First failing face, or None when every face passes.
 
-    Faces are enumerated over every proper face dimension, ordered by the
-    number of pinned dimensions, then lexicographically by (dims, values).
+    Faces come from ``iter_faces`` for face dimension d-1 down to 1, i.e.
+    ordered by the number of pinned dimensions, then lexicographically by
+    (dims, values).
     A face passes when it contains a 1-entry o such that for every free
     dimension j the cross section pinning j at o_j holds exactly one 1-entry
     of the whole pattern.  Vacuously passes in one dimension.
@@ -78,27 +79,15 @@ def property_i(p: Matrix01) -> CrossSectionSpec | None:
     d = p.shape.d
     counts = _hyperplane_counts(p)
     ones = list(p.iter_ones())
-    for csize in range(1, d):
-        for dims in combinations(range(1, d + 1), csize):
-            choices = []
-            for i in dims:
-                n = p.shape.extents[i - 1]
-                choices.append((1,) if n == 1 else (1, n))
-            for values in product(*choices):
-                pinned = dict(zip(dims, values))
-                ok = False
-                for o in ones:
-                    if any(o[i - 1] != v for i, v in pinned.items()):
-                        continue
-                    if all(
-                        counts[j - 1][o[j - 1] - 1] == 1
-                        for j in range(1, d + 1)
-                        if j not in pinned
-                    ):
-                        ok = True
-                        break
-                if not ok:
-                    return CrossSectionSpec(tuple(zip(dims, values)))
+    for dprime in range(d - 1, 0, -1):
+        for face in iter_faces(p.shape, dprime):
+            free = face.free_dims(d)
+            if not any(
+                all(o[i - 1] == v for i, v in face.fixed)
+                and all(counts[j - 1][o[j - 1] - 1] == 1 for j in free)
+                for o in ones
+            ):
+                return face
     return None
 
 

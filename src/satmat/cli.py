@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import classification, constructions, containment, exact, saturation
-from .core import Matrix01, ParseError, Shape, format_01m, parse_01m
+from .core import Matrix01, ParseError, Shape, cell_string, format_01m, parse_01m
 
 FORMAT_VERSION = 1
 
@@ -31,10 +31,7 @@ def _emit(payload: dict, stream=None) -> None:
 
 
 def _matrix_json(m: Matrix01) -> dict:
-    body = "".join(
-        "1" if (m.bits >> k) & 1 else "0" for k in range(m.shape.cell_count)
-    )
-    return {"dims": list(m.shape.extents), "cells": body, "weight": m.weight}
+    return {"dims": list(m.shape.extents), "cells": cell_string(m), "weight": m.weight}
 
 
 def _budget(args) -> exact.SearchBudget:

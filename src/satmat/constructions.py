@@ -14,7 +14,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
-from .containment import _anchored_exists
+from .containment import _pinned_hits
 from .core import (
     Coord,
     Matrix01,
@@ -198,7 +198,7 @@ def greedy_saturate(
         j, r = divmod(flat, n_last)
         lines[j] |= 1 << r
         # the partial matrix avoids p, so a new copy would have to use c
-        if _anchored_exists(lines, n_ext, p, c):
+        if next(_pinned_hits(lines, n_ext, p, c), None) is not None:
             lines[j] ^= 1 << r
         else:
             bits |= 1 << flat

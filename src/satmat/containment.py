@@ -7,7 +7,12 @@ selections for dimensions 1..d-1 in lexicographic order and closes the last
 dimension with a leftmost-greedy scan over per-index candidate bitmasks, so
 the first witness found is the lexicographically least selection vector.
 Anchored variants pin one host index per dimension at a prescribed rank,
-which is what "the new copy must use the flipped cell" amounts to.
+which is what "the new copy must use the flipped cell" amounts to; every
+anchored question (``anchored_contains``, ``potentially_matches``, the
+per-flip saturation verdicts, the greedy construction) goes through the one
+pinned search ``_pinned_hits``.  Questions about every selection at once
+(sweep verdicts, exact search tables, ``enumerate_embeddings``) consume the
+one image-mask builder ``iter_image_masks``.
 
 Pure functions over immutable values throughout.
 """
@@ -56,10 +61,6 @@ def _check_same_d(m: Matrix01, p: Matrix01) -> None:
         )
 
 
-def _fits(m: Matrix01, p: Matrix01) -> bool:
-    return m.shape.fits(p.shape)
-
-
 # ---------------------------------------------------------------------------
 # Pattern metadata: 1-entries grouped by their last coordinate, with the
 # distinct (d-1)-dimensional prefixes interned so the kernel can AND host
@@ -86,13 +87,12 @@ def _dim_selections(n: int, l: int, pin):
     """0-based ascending selections of l indices from range(n), lex order.
 
     ``pin=(rank, idx)`` restricts to selections holding ``idx`` at position
-    ``rank``; the restricted stream is still lexicographic.
+    ``rank``; the restricted stream is still lexicographic.  Pins come from
+    ``_pinned_hits``, which passes only feasible ones.
     """
     if pin is None:
         return combinations(range(n), l)
     rank, idx = pin
-    if rank > idx or l - rank - 1 > n - idx - 1:
-        return iter(())
 
     def gen():
         for lo in combinations(range(idx), rank):
@@ -192,7 +192,7 @@ def contains(m: Matrix01, p: Matrix01) -> Embedding | None:
     by the identity selections.
     """
     _check_same_d(m, p)
-    if not _fits(m, p):
+    if not m.shape.fits(p.shape):
         return None
     prefixes, by_last, _ = _pattern_meta(p)
     sel = _search(
@@ -201,11 +201,36 @@ def contains(m: Matrix01, p: Matrix01) -> Embedding | None:
     return None if sel is None else _to_embedding(sel)
 
 
-def _pin_feasible(o: Coord, anchor: Coord, l_ext, n_ext) -> bool:
-    return all(
-        o[i] <= anchor[i] and l_ext[i] - o[i] <= n_ext[i] - anchor[i]
-        for i in range(len(o))
-    )
+def _pinned_hits(lines, n_ext, p: Matrix01, anchor: Coord, entries=None):
+    """Yield the least 0-based selection for each pinnable pattern 1-entry.
+
+    The only caller of ``_search`` with pins.  ``lines`` is a host line
+    table, ``anchor`` a 1-based host cell, and ``entries`` the 0-based
+    pattern 1-entries to pin at the anchor (default: all, row-major).  An
+    entry is pinnable when, in every dimension, the pattern cells before and
+    after it fit on either side of the anchor; a pattern that does not fit
+    the host has no pinnable entry.  The first hit answers existence; the
+    least hit is the least anchored embedding.
+    """
+    l_ext = p.shape.extents
+    prefixes, by_last, ones = _pattern_meta(p)
+    for o0 in ones if entries is None else entries:
+        pins = tuple((r, a - 1) for r, a in zip(o0, anchor))
+        if all(
+            r <= a and l - r <= n - a
+            for (r, a), l, n in zip(pins, l_ext, n_ext)
+        ):
+            sel = _search(lines, n_ext, l_ext, prefixes, by_last, pins)
+            if sel is not None:
+                yield sel
+
+
+def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
+    flat = m.shape.flat_index(z)
+    n_last = m.shape.extents[-1]
+    lines = list(m._last_lines)
+    lines[flat // n_last] |= 1 << (flat % n_last)
+    return lines
 
 
 def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | None:
@@ -215,20 +240,8 @@ def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | No
         raise ValueError(f"anchor {anchor} out of bounds")
     if not m.get(anchor):
         raise ValueError(f"anchor {anchor} is a 0-entry")
-    if not _fits(m, p):
-        return None
-    prefixes, by_last, ones = _pattern_meta(p)
-    n_ext, l_ext = m.shape.extents, p.shape.extents
-    lines = m._last_lines
-    best = None
-    for o0 in ones:
-        o = tuple(x + 1 for x in o0)
-        if not _pin_feasible(o, anchor, l_ext, n_ext):
-            continue
-        pins = tuple((o0[i], anchor[i] - 1) for i in range(len(o0)))
-        sel = _search(lines, n_ext, l_ext, prefixes, by_last, pins)
-        if sel is not None and (best is None or sel < best):
-            best = sel
+    hits = _pinned_hits(m._last_lines, m.shape.extents, p, anchor)
+    best = min(hits, default=None)
     return None if best is None else _to_embedding(best)
 
 
@@ -241,61 +254,16 @@ def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:
         raise ValueError(f"{z} is a 1-entry of the host")
     if not p.get(o):
         raise ValueError(f"{o} is a 0-entry of the pattern")
-    if not _fits(m, p):
-        return False
-    n_ext, l_ext = m.shape.extents, p.shape.extents
-    if not _pin_feasible(o, z, l_ext, n_ext):
-        return False
-    prefixes, by_last, _ = _pattern_meta(p)
-    lines = _lines_with_flip(m, z)
-    pins = tuple((o[i] - 1, z[i] - 1) for i in range(len(o)))
-    return _search(lines, n_ext, l_ext, prefixes, by_last, pins) is not None
-
-
-def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
-    flat = m.shape.flat_index(z)
-    n_last = m.shape.extents[-1]
-    lines = list(m._last_lines)
-    lines[flat // n_last] |= 1 << (flat % n_last)
-    return lines
-
-
-def _anchored_exists(lines, n_ext, p: Matrix01, anchor: Coord) -> bool:
-    """Existence-only anchored search over a prepared line table."""
-    l_ext = p.shape.extents
-    if any(l > n for l, n in zip(l_ext, n_ext)):
-        return False
-    prefixes, by_last, ones = _pattern_meta(p)
-    for o0 in ones:
-        pins = []
-        ok = True
-        for i in range(len(o0)):
-            rank, idx = o0[i], anchor[i] - 1
-            if rank > idx or l_ext[i] - rank - 1 > n_ext[i] - idx - 1:
-                ok = False
-                break
-            pins.append((rank, idx))
-        if not ok:
-            continue
-        if _search(lines, n_ext, l_ext, prefixes, by_last, tuple(pins)) is not None:
-            return True
-    return False
-
-
-def anchored_exists_after_flip(m: Matrix01, p: Matrix01, z: Coord) -> bool:
-    """Would flipping the 0-entry z create a copy of p that uses z as a 1?
-
-    Package-internal fast path shared by the saturation verdicts and the
-    greedy construction; equivalent to
-    ``anchored_contains(m.flip(z), p, z) is not None``.
-    """
-    return _anchored_exists(_lines_with_flip(m, z), m.shape.extents, p, z)
+    o0 = tuple(x - 1 for x in o)
+    hits = _pinned_hits(_lines_with_flip(m, z), m.shape.extents, p, z, (o0,))
+    return next(hits, None) is not None
 
 
 # ---------------------------------------------------------------------------
 # Whole-embedding enumeration.  Over the all-one host every selection is an
-# embedding; the helpers below expose the 1-entry images, which is what both
-# the sweep-style verdicts and the exact searches consume.
+# embedding; ``iter_image_masks`` is the one place that turns selections
+# into their 1-entry images, which is what the sweep-style verdicts, the
+# exact searches and ``enumerate_embeddings`` consume.
 
 
 def embeddings_count(host_shape: Shape, p: Matrix01) -> int:
@@ -305,76 +273,61 @@ def embeddings_count(host_shape: Shape, p: Matrix01) -> int:
     return prod(comb(n, l) for n, l in zip(host_shape.extents, p.shape.extents))
 
 
-def iter_selection_images(host_shape: Shape, p: Matrix01) -> Iterator[tuple[tuple, tuple]]:
-    """Yield (0-based selections, flat indices of the 1-entry images).
+def iter_image_masks(host_shape: Shape, p: Matrix01) -> Iterator[int]:
+    """Bitmask of the 1-entry image of every selection, lexicographic order.
 
-    Streams every selection in lexicographic order regardless of host
-    content.  Intended for small instances only.
+    The k-th mask belongs to the k-th selection of the product, over the
+    dimensions, of 0-based ``combinations(range(n_i), l_i)``.  Each
+    (d-1)-dimensional prefix selection gets one partial mask per
+    last-coordinate group of pattern 1s, with the group's cells at last
+    index 0; each last-dimension selection then shifts every group's
+    partial mask to its chosen index and ORs them.  A pattern that does not
+    fit yields nothing; an all-zero pattern yields one 0 per selection.
     """
     if host_shape.d != p.shape.d:
         raise ValueError("dimension mismatch")
     if not host_shape.fits(p.shape):
         return
-    ones0 = [tuple(x - 1 for x in c) for c in p.iter_ones()]
+    prefixes, by_last, _ = _pattern_meta(p)
+    *n_pre, n_last = host_shape.extents
+    *l_pre, l_last = p.shape.extents
     strides = host_shape.strides
-    d = host_shape.d
-    dim_choices = [
-        list(combinations(range(n), l))
-        for n, l in zip(host_shape.extents, p.shape.extents)
+    # per prefix dimension and selection: host offset of every distinct prefix
+    offsets = [
+        [
+            tuple(sel[pf[i]] * strides[i] for pf in prefixes)
+            for sel in combinations(range(n), l)
+        ]
+        for i, (n, l) in enumerate(zip(n_pre, l_pre))
     ]
-    for sels in product(*dim_choices):
-        flats = tuple(
-            sum(sels[i][q[i]] * strides[i] for i in range(d)) for q in ones0
-        )
-        yield sels, flats
+    groups = [(c, group) for c, group in enumerate(by_last) if group]
+    last_sels = list(combinations(range(n_last), l_last))
+    pids = range(len(prefixes))
+    for offs in product(*offsets):
+        cell = [1 << sum(o[j] for o in offs) for j in pids]
+        partial = []
+        for c, group in groups:
+            g = 0
+            for j in group:
+                g |= cell[j]
+            partial.append((c, g))
+        for t in last_sels:
+            e = 0
+            for c, g in partial:
+                e |= g << t[c]
+            yield e
 
 
 @lru_cache(maxsize=64)
 def one_image_masks(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
-    """Bitmask of the 1-entry image of every selection, as flat host cells.
+    """All of ``iter_image_masks`` as a tuple, cached per (shape, pattern).
 
     A host M then contains p iff some mask is a subset of M's bits, and
     flipping a 0-cell z creates a copy using z iff some mask misses exactly
     the bit of z.  Cached because verdict sweeps reuse the table across many
     hosts of one shape.
     """
-    if host_shape.d != p.shape.d:
-        raise ValueError("dimension mismatch")
-    if not host_shape.fits(p.shape):
-        return ()
-    ones0 = [tuple(x - 1 for x in c) for c in p.iter_ones()]
-    k = len(ones0)
-    strides = host_shape.strides
-    d = host_shape.d
-    tabs = []
-    for i, (n, l) in enumerate(zip(host_shape.extents, p.shape.extents)):
-        tab = [
-            tuple(sel[q[i]] * strides[i] for q in ones0)
-            for sel in combinations(range(n), l)
-        ]
-        tabs.append(tab)
-    masks: list[int] = []
-    if d == 1:
-        for t in tabs[0]:
-            e = 0
-            for s in t:
-                e |= 1 << s
-            masks.append(e)
-        return tuple(masks)
-
-    def rec(i, acc):
-        if i == d - 1:
-            for t in tabs[i]:
-                e = 0
-                for j in range(k):
-                    e |= 1 << (acc[j] + t[j])
-                masks.append(e)
-            return
-        for t in tabs[i]:
-            rec(i + 1, tuple(a + b for a, b in zip(acc, t)))
-
-    rec(0, (0,) * k)
-    return tuple(masks)
+    return tuple(iter_image_masks(host_shape, p))
 
 
 def enumerate_embeddings(
@@ -386,16 +339,19 @@ def enumerate_embeddings(
     exceeds ``limit``.
     """
     _check_same_d(m, p)
-    if not _fits(m, p):
+    if not m.shape.fits(p.shape):
         return []
     total = embeddings_count(m.shape, p)
     if total > limit:
         raise ValueError(
             f"{total} candidate selections exceeds the enumeration cap {limit}"
         )
-    bits = m.bits
-    out = []
-    for sels, flats in iter_selection_images(m.shape, p):
-        if all((bits >> f) & 1 for f in flats):
-            out.append(_to_embedding(sels))
-    return out
+    inv = m.shape.full_mask ^ m.bits
+    sels = product(
+        *(combinations(range(n), l) for n, l in zip(m.shape.extents, p.shape.extents))
+    )
+    return [
+        _to_embedding(sel)
+        for e, sel in zip(iter_image_masks(m.shape, p), sels)
+        if not e & inv
+    ]

@@ -451,9 +451,15 @@ def _check_cell_limit(shape: Shape, cell_limit: int | None) -> None:
 _DIMS_RE = re.compile(r"^dims:\s*(\d+(?:\s+\d+)*)\s*$")
 
 
+def cell_string(m: Matrix01) -> str:
+    """The cells as one row-major '0'/'1' string (the .01m body, unwrapped)."""
+    # bit k is cell k, so the padded binary numeral read backwards
+    return format(m.bits, f"0{m.shape.cell_count}b")[::-1]
+
+
 def format_01m(m: Matrix01) -> str:
     ext = m.shape.extents
-    body = "".join("1" if (m.bits >> k) & 1 else "0" for k in range(m.shape.cell_count))
+    body = cell_string(m)
     n_last = ext[-1]
     lines = [body[i : i + n_last] for i in range(0, len(body), n_last)]
     out = ["dims: " + " ".join(str(n) for n in ext)]

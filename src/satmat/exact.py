@@ -19,6 +19,7 @@ never return an approximate answer.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -29,13 +30,17 @@ from .constructions import (
     has_corner_only_shell,
     identity_pattern,
 )
-from .containment import iter_selection_images
+from .containment import iter_image_masks
 from .core import Matrix01, Shape
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
 DEFAULT_SSAT_CELLS = 16  # exact_ssat
 
 _TICK = 1024  # nodes between wall-clock checks
+# Frames kept free for the callers of a search: dfs, grow and least recurse
+# once per host cell, so hosts above the recursion limit minus this reserve
+# are refused up front instead of dying in a RecursionError.
+_STACK_RESERVE = 200
 
 
 class BudgetExceededError(RuntimeError):
@@ -88,6 +93,11 @@ def _check_cells(shape: Shape, budget: SearchBudget, default_cells: int) -> None
         raise BudgetExceededError(
             f"{shape.cell_count} cells exceeds the budget of {cap}"
         )
+    ceiling = sys.getrecursionlimit() - _STACK_RESERVE
+    if shape.cell_count > ceiling:
+        raise BudgetExceededError(
+            f"{shape.cell_count} cells exceeds the recursion ceiling of {ceiling}"
+        )
 
 
 def _validate(shape: Shape, p: Matrix01) -> None:
@@ -120,15 +130,15 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter, want_supports=True
     cc = shape.cell_count
     raw_supports: list[list[int]] = [[] for _ in range(cc)]
     copy_masks: list[int] = []
-    for _, flats in iter_selection_images(shape, p):
+    for e in iter_image_masks(shape, p):
         meter.tick()
-        e = 0
-        for f in flats:
-            e |= 1 << f
         copy_masks.append(e)
         if want_supports:
-            for f in flats:
-                raw_supports[f].append(e & ~(1 << f))
+            rem = e
+            while rem:
+                low = rem & -rem
+                raw_supports[low.bit_length() - 1].append(e ^ low)
+                rem ^= low
     supports = [_minimal_masks(s) for s in raw_supports]
     copy_masks = list(dict.fromkeys(copy_masks))
     copies_by_cell: list[list[int]] = [[] for _ in range(cc)]

@@ -9,12 +9,14 @@ For an all-zero pattern we follow the convention that keeps the minimum
 saturating weight at zero: is_saturating is true exactly for the all-zero
 matrix and is_semisaturating is true for every matrix.
 
-Verdicts run a single sweep over all candidate selections of the pattern
-inside the host shape: a selection whose 1-entry image misses exactly one
-host cell marks that cell as a productive flip, and a selection missing
-nothing is a pre-existing copy.  This is equivalent to flip-by-flip anchored
-search but touches each selection once; hosts too large for the sweep fall
-back to the per-flip search.
+Both verdicts share one decision.  Up to ``SWEEP_LIMIT`` candidate
+selections they run a single sweep over the cached image masks of every
+selection of the pattern inside the host shape: a mask that misses exactly
+one host cell marks that cell as a productive flip, and a mask missing
+nothing is a pre-existing copy.  Larger hosts would need too big a table,
+so they fall back to one pinned search per 0-cell, which asks whether the
+flipped host has a copy through that cell.  Both paths give the same
+verdicts and the same row-major-first counterexample.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 
 from .containment import (
     Embedding,
-    anchored_exists_after_flip,
+    _check_same_d,
+    _lines_with_flip,
+    _pinned_hits,
     contains,
     embeddings_count,
     one_image_masks,
@@ -75,12 +79,28 @@ def _first_uncovered(m: Matrix01, covered: int) -> Coord | None:
     return m.shape.coord_at((uncovered & -uncovered).bit_length() - 1)
 
 
-def _check_same_d(m: Matrix01, p: Matrix01) -> None:
-    if m.shape.d != p.shape.d:
-        raise ValueError(
-            f"dimension mismatch: host is {m.shape.d}-dimensional, "
-            f"pattern is {p.shape.d}-dimensional"
-        )
+def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationReport:
+    """Every flip makes a copy through the flipped cell (and, if asked, m avoids p).
+
+    For a nonzero pattern.  When m avoids p, a copy created by a flip must
+    use the flipped cell, so the same test serves both verdicts.
+    """
+    if embeddings_count(m.shape, p) <= SWEEP_LIMIT:
+        found, covered = _flip_cover(m, p)
+        if must_avoid and found:
+            return SaturationReport(False, "contains_pattern", contains(m, p))
+        bad = _first_uncovered(m, covered)
+        return _OK if bad is None else SaturationReport(False, "dead_flip", bad)
+
+    if must_avoid:
+        emb = contains(m, p)
+        if emb is not None:
+            return SaturationReport(False, "contains_pattern", emb)
+    for z in m.iter_zeros():
+        hits = _pinned_hits(_lines_with_flip(m, z), m.shape.extents, p, z)
+        if next(hits, None) is None:
+            return SaturationReport(False, "dead_flip", z)
+    return _OK
 
 
 def is_saturating(m: Matrix01, p: Matrix01) -> SaturationReport:
@@ -94,24 +114,7 @@ def is_saturating(m: Matrix01, p: Matrix01) -> SaturationReport:
         if m.weight == 0:
             return _OK
         return SaturationReport(False, "contains_pattern", contains(m, p))
-
-    if embeddings_count(m.shape, p) <= SWEEP_LIMIT:
-        found, covered = _flip_cover(m, p)
-        if found:
-            return SaturationReport(False, "contains_pattern", contains(m, p))
-        bad = _first_uncovered(m, covered)
-        if bad is not None:
-            return SaturationReport(False, "dead_flip", bad)
-        return _OK
-
-    emb = contains(m, p)
-    if emb is not None:
-        return SaturationReport(False, "contains_pattern", emb)
-    for z in m.iter_zeros():
-        # m avoids p, so any post-flip copy must use the flipped cell.
-        if not anchored_exists_after_flip(m, p, z):
-            return SaturationReport(False, "dead_flip", z)
-    return _OK
+    return _flip_verdict(m, p, must_avoid=True)
 
 
 def is_semisaturating(m: Matrix01, p: Matrix01) -> SaturationReport:
@@ -119,15 +122,4 @@ def is_semisaturating(m: Matrix01, p: Matrix01) -> SaturationReport:
     _check_same_d(m, p)
     if p.weight == 0:
         return _OK
-
-    if embeddings_count(m.shape, p) <= SWEEP_LIMIT:
-        _, covered = _flip_cover(m, p)
-        bad = _first_uncovered(m, covered)
-        if bad is not None:
-            return SaturationReport(False, "dead_flip", bad)
-        return _OK
-
-    for z in m.iter_zeros():
-        if not anchored_exists_after_flip(m, p, z):
-            return SaturationReport(False, "dead_flip", z)
-    return _OK
+    return _flip_verdict(m, p, must_avoid=False)

@@ -7,7 +7,7 @@ paths.  Deliberately slow and simple.
 
 from itertools import combinations, product
 
-from satmat import Matrix01, Shape
+from satmat import CrossSectionSpec, Matrix01, Shape
 
 
 def all_selections(host: Shape, pattern: Shape):
@@ -71,6 +71,37 @@ def brute_is_semisaturating(m: Matrix01, p: Matrix01) -> bool:
     if p.weight == 0:
         return True
     return all(brute_flip_creates_new_copy(m, p, z) for z in m.iter_zeros())
+
+
+def brute_property_i(p: Matrix01):
+    """First failing face by walking cross-section cells, or None.
+
+    Every (dims, values) face spec with at least one free dimension, values
+    drawn from {1, n_i}, in order of pinned-dimension count, then dims, then
+    values.  A face passes when one of its 1-entries o is the only 1-entry
+    of the cross section pinning j at o_j, for every free dimension j.
+    """
+    shape, d = p.shape, p.shape.d
+    specs = set()
+    for dims in product((False, True), repeat=d):
+        pinned = [i + 1 for i in range(d) if dims[i]]
+        if not 0 < len(pinned) < d:
+            continue
+        for values in product(*((1, shape.extents[i - 1]) for i in pinned)):
+            specs.add((len(pinned), tuple(pinned), values))
+    for _, dims, values in sorted(specs):
+        face = CrossSectionSpec(tuple(zip(dims, values)))
+        free = [j for j in range(1, d + 1) if j not in dims]
+
+        def lone(o, j):
+            line = CrossSectionSpec(((j, o[j - 1]),))
+            return sum(p.get(c) for c in line.cells(shape)) == 1
+
+        if not any(
+            p.get(o) and all(lone(o, j) for j in free) for o in face.cells(shape)
+        ):
+            return face
+    return None
 
 
 def all_matrices(shape: Shape):

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from satmat import (
     Matrix01,
     Shape,
@@ -86,6 +89,15 @@ class TestPropertyI:
 
     def test_one_dimensional_vacuous(self):
         assert property_i(Matrix01.from_nested([1, 0, 1])) is None
+
+    def test_exhaustive_against_brute_force(self):
+        # every nonzero 2-D pattern up to 3x3 and 3-D pattern up to 2x2x2
+        exts = [*product(range(1, 4), repeat=2), *product(range(1, 3), repeat=3)]
+        for ext in exts:
+            shape = Shape(ext)
+            for bits in range(1, 1 << shape.cell_count):
+                p = Matrix01(shape, bits)
+                assert property_i(p) == oracles.brute_property_i(p), (ext, bits)
 
     def test_cube_identity_fails_on_mixed_edge(self):
         # the 3D identity has all-zero edges, e.g. x1 low with x3 high

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from satmat import Matrix01, Shape, format_01m, identity_pattern, parse_01m
 from satmat.cli import main
+from satmat.exact import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 
@@ -178,6 +180,21 @@ class TestExact:
         )
         assert code == 3
         assert json.loads(out)["status"] == "budget_exceeded"
+
+    def test_recursion_ceiling(self, files, capsys):
+        n = str(sys.getrecursionlimit() - _STACK_RESERVE + 1)
+        unit = files("unit.01m", Matrix01.from_nested([[1]]))
+        pat = files("p.01m", I2)
+        for quantity, p in (("ex", unit), ("sat", pat), ("ssat", pat)):
+            code, out, err = run(
+                capsys,
+                ["exact", quantity, "--shape", "1", n, "--pattern", p, "--budget-cells", n],
+            )
+            assert code == 3
+            payload = json.loads(out)
+            assert payload["status"] == "budget_exceeded"
+            assert "recursion" in payload["reason"]
+            assert "Traceback" not in err
 
 
 class TestStaircases:

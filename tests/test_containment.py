@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import oracles
 from conftest import host_and_pattern
@@ -15,8 +15,22 @@ from satmat import (
     identity_pattern,
     potentially_matches,
 )
+from satmat.containment import one_image_masks
 
 I2 = identity_pattern(2, 2)
+
+# d = 1, an all-zero pattern, and a pattern that does not fit
+BUILDER_EXAMPLES = [
+    (Matrix01.from_nested([1, 0, 1, 1]), Matrix01.from_nested([1, 0, 1])),
+    (Matrix01.from_nested([[0, 1], [1, 0]]), Matrix01.zeros(Shape((1, 2)))),
+    (Matrix01.filled(Shape((2, 3))), Matrix01.filled(Shape((3, 1)))),
+]
+
+
+def with_builder_examples(test):
+    for pair in BUILDER_EXAMPLES:
+        test = example(pair)(test)
+    return test
 
 
 def as_embedding(sels):
@@ -168,6 +182,30 @@ class TestEnumeration:
     def test_count(self):
         host = Shape((4, 3))
         assert embeddings_count(host, I2) == 6 * 3
+
+    @with_builder_examples
+    @given(host_and_pattern())
+    def test_image_masks_match_oracle_selections(self, pair):
+        m, p = pair
+        want = tuple(
+            sum(
+                1 << m.shape.flat_index(tuple(s[q - 1] for s, q in zip(sels, o)))
+                for o in p.iter_ones()
+            )
+            for sels in oracles.all_selections(m.shape, p.shape)
+        )
+        assert one_image_masks(m.shape, p) == want
+
+    @with_builder_examples
+    @given(host_and_pattern())
+    def test_full_list_matches_oracle(self, pair):
+        m, p = pair
+        want = [
+            as_embedding(sels)
+            for sels in oracles.all_selections(m.shape, p.shape)
+            if oracles.selection_valid(m, p, sels)
+        ]
+        assert enumerate_embeddings(m, p) == want
 
     def test_gate(self):
         m = Matrix01.zeros(Shape((40, 40)), cell_limit=None)

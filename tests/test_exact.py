@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from satmat import (
     is_semisaturating,
     verify_recurrence,
 )
+from satmat.exact import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 I3 = identity_pattern(2, 3)
@@ -172,6 +174,23 @@ class TestBudgets:
         p = Matrix01.from_nested([1, 1, 1, 1, 1])
         with pytest.raises(BudgetExceededError):
             exact_ssat(Shape((16,)), p, SearchBudget(node_limit=10))
+
+    def test_recursion_ceiling(self):
+        # the searches recurse once per host cell; a host the recursion
+        # cannot reach is refused before any table is built
+        ceiling = sys.getrecursionlimit() - _STACK_RESERVE
+        unit = Matrix01.from_nested([[1]])
+        over = Shape((1, ceiling + 1))
+        budget = SearchBudget(max_cells=ceiling + 1)
+        for fn, p in ((exact_ex, unit), (exact_sat, I2), (exact_ssat, I2)):
+            with pytest.raises(BudgetExceededError, match="recursion") as err:
+                fn(over, p, budget)
+            assert err.value.nodes == 0
+        at = Shape((1, ceiling))
+        budget = SearchBudget(max_cells=ceiling)
+        assert exact_ex(at, unit, budget).value == 0
+        assert exact_sat(at, I2, budget).value == ceiling
+        assert exact_ssat(at, I2, budget).value == ceiling
 
 
 class TestRecurrence:
