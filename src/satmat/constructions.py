@@ -5,12 +5,15 @@ the identity-pattern closed form, the greedy saturation pass, bottom
 staircase extraction with layer-by-layer decomposition, the offset-block
 family saturating an arbitrary nonzero pattern, and the corner-band family
 with constant weight used for bounded semisaturation.
+
+The nested shells, offset block and corner bands are boxes (products of
+per-dimension index sets) or their complements, built by ``core._box_mask``,
+which refuses hosts above ``DEFAULT_CELL_LIMIT`` cells before building them.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
@@ -19,11 +22,11 @@ from .core import (
     Coord,
     Matrix01,
     Shape,
+    _box_mask,
     diagonal_through,
     diagonal_tops,
     is_complete_staircase,
     is_staircase,
-    shell,
 )
 
 
@@ -58,11 +61,12 @@ def diagonal_concatenation(a: Matrix01, b: Matrix01) -> Matrix01:
 
 
 def has_corner_only_shell(p: Matrix01) -> bool:
-    """Is the all-max corner the only 1-entry on the pattern's shell?"""
-    corner = p.shape.extents
-    return p.get(corner) == 1 and all(
-        c == corner or not p.get(c) for c in shell(p.shape)
-    )
+    """Is the all-max corner the only 1-entry on the pattern's shell?
+
+    The shell is everything outside the box of indices 1..n_i - 1.
+    """
+    inner = _box_mask(p.shape, [range(1, n) for n in p.shape.extents])
+    return p.bits & ~inner == 1 << (p.shape.cell_count - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +159,8 @@ def identity_layers(shape: Shape, k: int) -> Matrix01:
     """
     if not 1 <= k <= min(shape.extents):
         raise ValueError(f"k must be in [1, {min(shape.extents)}]")
-    bits = shape.full_mask
-    for c in product(*(range(1, n - k + 1) for n in shape.extents)):
-        bits &= ~(1 << shape.flat_index(c))
-    return Matrix01(shape, bits)
+    inner = _box_mask(shape, [range(1, n - k + 1) for n in shape.extents])
+    return Matrix01(shape, shape.full_mask ^ inner)
 
 
 def cell_order(shape: Shape, seed: int | None = None) -> list[Coord]:
@@ -222,10 +224,8 @@ def offset_block(p: Matrix01, n: int, anchor: Coord | None = None) -> Matrix01:
     if n < max(l):
         raise PatternFitError(f"need n >= {max(l)} for extents {l}")
     host = Shape((n,) * p.shape.d)
-    bits = host.full_mask
-    for c in product(*(range(a, n - li + a + 1) for a, li in zip(anchor, l))):
-        bits &= ~(1 << host.flat_index(c))
-    return Matrix01(host, bits)
+    box = _box_mask(host, [range(a, n - li + a + 1) for a, li in zip(anchor, l)])
+    return Matrix01(host, host.full_mask ^ box)
 
 
 def corner_block(p: Matrix01, n: int) -> Matrix01:
@@ -239,7 +239,5 @@ def corner_block(p: Matrix01, n: int) -> Matrix01:
     if n < 2 * max(l) - 1:
         raise ValueError(f"corner bands overlap: need n >= {2 * max(l) - 1}")
     host = Shape((n,) * p.shape.d)
-    bands = [
-        tuple(range(1, li)) + tuple(range(n + 2 - li, n + 1)) for li in l
-    ]
-    return Matrix01.from_ones(host, product(*bands), cell_limit=None)
+    bands = [[*range(1, li), *range(n + 2 - li, n + 1)] for li in l]
+    return Matrix01(host, _box_mask(host, bands))

@@ -111,11 +111,16 @@ def _search(lines, n_ext, l_ext, prefixes, by_last, pins):
     """
     d = len(n_ext)
     n_last, l_last = n_ext[-1], l_ext[-1]
-    last_pin = pins[-1] if pins is not None else None
     pstr = [1] * (d - 1)
     for i in range(d - 3, -1, -1):
         pstr[i] = pstr[i + 1] * n_ext[i + 1]
-    full = (1 << n_last) - 1
+    # last-dimension indices each pattern column may take; a pin keeps the
+    # columns before its rank below the pinned index
+    allow = [(1 << n_last) - 1] * l_last
+    if pins is not None:
+        prank, pidx = pins[-1]
+        allow[:prank] = [(1 << pidx) - 1] * prank
+        allow[prank] = 1 << pidx
     sel: list[tuple[int, ...]] = [()] * (d - 1)
 
     def close_last():
@@ -128,29 +133,11 @@ def _search(lines, n_ext, l_ext, prefixes, by_last, pins):
         out = []
         pos = 0
         for c in range(l_last):
-            mask = full
+            mask = allow[c]
             for pid in by_last[c]:
                 mask &= lines[flats[pid]]
                 if not mask:
                     return None
-            if last_pin is not None:
-                prank, pidx = last_pin
-                if c == prank:
-                    if pos > pidx or not (mask >> pidx) & 1:
-                        return None
-                    out.append(pidx)
-                    pos = pidx + 1
-                    continue
-                if c < prank:
-                    mm = mask >> pos
-                    if not mm:
-                        return None
-                    y = pos + ((mm & -mm).bit_length() - 1)
-                    if y >= pidx:
-                        return None
-                    out.append(y)
-                    pos = y + 1
-                    continue
             mm = mask >> pos
             if not mm:
                 return None
@@ -318,14 +305,16 @@ def iter_image_masks(host_shape: Shape, p: Matrix01) -> Iterator[int]:
             yield e
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def one_image_masks(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
-    """All of ``iter_image_masks`` as a tuple, cached per (shape, pattern).
+    """All of ``iter_image_masks`` as a tuple, caching the last table only.
 
     A host M then contains p iff some mask is a subset of M's bits, and
     flipping a 0-cell z creates a copy using z iff some mask misses exactly
-    the bit of z.  Cached because verdict sweeps reuse the table across many
-    hosts of one shape.
+    the bit of z.  Verdict sweeps check many hosts of one (shape, pattern)
+    in a row, so one table gets nearly every reuse; a sweep table can hold
+    up to ``saturation.SWEEP_LIMIT`` masks, so keeping more costs memory for
+    little.
     """
     return tuple(iter_image_masks(host_shape, p))
 

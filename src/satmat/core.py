@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import combinations, product
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
 
@@ -211,33 +211,25 @@ def _shape_of(host: "Matrix01 | Shape") -> Shape:
     return host if isinstance(host, Shape) else host.shape
 
 
+def _entries_related(host, staircase: Iterable[Coord], rel: Relation) -> list[Coord]:
+    shape = _shape_of(host)
+    cs = list(staircase)
+    if not is_complete_staircase(cs, shape):
+        raise ValueError("staircase is not complete for this shape")
+    return [c for c in shape.cells() if any(order_relation(c, m) is rel for m in cs)]
+
+
 def entries_below(host: "Matrix01 | Shape", staircase: Iterable[Coord]) -> list[Coord]:
     """All cells strictly below some member of a complete staircase.
 
     Together with the members and the cells above, this partitions the grid.
     """
-    shape = _shape_of(host)
-    cs = list(staircase)
-    if not is_complete_staircase(cs, shape):
-        raise ValueError("staircase is not complete for this shape")
-    return [
-        c
-        for c in shape.cells()
-        if any(order_relation(c, m) is Relation.BELOW for m in cs)
-    ]
+    return _entries_related(host, staircase, Relation.BELOW)
 
 
 def entries_above(host: "Matrix01 | Shape", staircase: Iterable[Coord]) -> list[Coord]:
     """All cells strictly above some member of a complete staircase."""
-    shape = _shape_of(host)
-    cs = list(staircase)
-    if not is_complete_staircase(cs, shape):
-        raise ValueError("staircase is not complete for this shape")
-    return [
-        c
-        for c in shape.cells()
-        if any(order_relation(c, m) is Relation.ABOVE for m in cs)
-    ]
+    return _entries_related(host, staircase, Relation.ABOVE)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +403,7 @@ class Matrix01:
             bits ^= low
 
     def iter_zeros(self) -> Iterator[Coord]:
-        bits = self.shape.full_mask ^ self.bits
-        while bits:
-            low = bits & -bits
-            yield self.shape.coord_at(low.bit_length() - 1)
-            bits ^= low
+        return Matrix01(self.shape, self.shape.full_mask ^ self.bits).iter_ones()
 
     # -- containment kernel support: the run of cells along the last
     # dimension at each (d-1)-prefix is one contiguous bit field.
@@ -436,6 +424,23 @@ def _check_cell_limit(shape: Shape, cell_limit: int | None) -> None:
             f"{shape.cell_count} cells exceeds the cap of {cell_limit}; "
             "pass cell_limit=None to override"
         )
+
+
+def _box_mask(shape: Shape, index_sets: Sequence[Iterable[int]]) -> int:
+    """Bitmask of the cells x with x_i in ``index_sets[i]`` (1-based) for all i.
+
+    Built from the last dimension up: the box over dimensions i..d is the
+    box over i+1..d ORed in at offset (x - 1) * strides[i] per x in set i.
+    Shapes above ``DEFAULT_CELL_LIMIT`` are refused before any bit is set.
+    """
+    _check_cell_limit(shape, DEFAULT_CELL_LIMIT)
+    mask = 1
+    for xs, stride in zip(reversed(index_sets), reversed(shape.strides), strict=True):
+        row = 0
+        for x in xs:
+            row |= mask << (x - 1) * stride
+        mask = row
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ paths.  Deliberately slow and simple.
 
 from itertools import combinations, product
 
-from satmat import CrossSectionSpec, Matrix01, Shape
+from satmat import CrossSectionSpec, Matrix01, Shape, shell
 
 
 def all_selections(host: Shape, pattern: Shape):
@@ -102,6 +102,43 @@ def brute_property_i(p: Matrix01):
         ):
             return face
     return None
+
+
+def _host_where(shape: Shape, is_one) -> Matrix01:
+    return Matrix01.from_ones(shape, [c for c in shape.cells() if is_one(c)])
+
+
+def brute_offset_block(p: Matrix01, n: int, anchor) -> Matrix01:
+    """Cell x is 0 iff a_i <= x_i <= n - (l_i - a_i) for every i."""
+    l = p.shape.extents
+    return _host_where(
+        Shape((n,) * p.shape.d),
+        lambda x: not all(a <= xi <= n - (li - a) for xi, a, li in zip(x, anchor, l)),
+    )
+
+
+def brute_identity_layers(shape: Shape, k: int) -> Matrix01:
+    """Cell x is 1 iff x_i > n_i - k for some i."""
+    return _host_where(
+        shape, lambda x: any(xi > n - k for xi, n in zip(x, shape.extents))
+    )
+
+
+def brute_corner_block(p: Matrix01, n: int) -> Matrix01:
+    """Cell x is 1 iff x_i < l_i or x_i > n + 1 - l_i for every i."""
+    l = p.shape.extents
+    return _host_where(
+        Shape((n,) * p.shape.d),
+        lambda x: all(xi < li or xi > n + 1 - li for xi, li in zip(x, l)),
+    )
+
+
+def brute_corner_only_shell(p: Matrix01) -> bool:
+    """The all-max corner is a 1 and no other cell of ``shell`` is."""
+    corner = p.shape.extents
+    return bool(p.get(corner)) and all(
+        c == corner or not p.get(c) for c in shell(p.shape)
+    )
 
 
 def all_matrices(shape: Shape):

@@ -128,6 +128,18 @@ class TestConstruct:
         assert code == 0
         assert parse_01m(out_path.read_text()).weight == 4
 
+    def test_host_over_cell_cap_is_input_error(self, files, capsys):
+        # 4097**2 cells is just over DEFAULT_CELL_LIMIT; refused unbuilt
+        pat = files("p.01m", I2)
+        code, out, err = run(
+            capsys, ["construct", "--kind", "corner-block", "--pattern", pat, "--n", "4097"]
+        )
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["status"] == "error"
+        assert "exceeds the cap" in payload["reason"]
+
     def test_greedy_nonfitting_is_input_error(self, files, capsys):
         pat = files("p.01m", identity_pattern(2, 3))
         code, _, err = run(

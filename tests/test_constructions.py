@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import matrix_of_random_shape
+from conftest import matrix_of_random_shape, shapes
 from satmat import (
+    DEFAULT_CELL_LIMIT,
     Matrix01,
     PatternFitError,
     Shape,
@@ -300,3 +301,53 @@ class TestShellWrap:
         ones = set(shell(outer_host)) | set(inner.iter_ones())
         outer = Matrix01.from_ones(outer_host, ones)
         assert is_saturating(outer, p_outer).verdict
+
+
+class TestAgainstDefinitions:
+    """Each box construction equals its per-cell definition in the oracles."""
+
+    @given(matrix_of_random_shape(max_d=3, max_extent=3, max_cells=12), st.data())
+    def test_offset_block_every_anchor(self, p, data):
+        if p.weight == 0:
+            return
+        n = data.draw(st.integers(max(p.shape.extents), max(p.shape.extents) + 3))
+        for anchor in p.iter_ones():
+            assert offset_block(p, n, anchor) == oracles.brute_offset_block(p, n, anchor)
+
+    @given(shapes(max_d=3, max_extent=6, max_cells=60), st.data())
+    def test_identity_layers(self, shape, data):
+        k = data.draw(st.integers(1, min(shape.extents)))
+        assert identity_layers(shape, k) == oracles.brute_identity_layers(shape, k)
+
+    @given(matrix_of_random_shape(max_d=3, max_extent=3, max_cells=12), st.data())
+    def test_corner_block(self, p, data):
+        lo = 2 * max(p.shape.extents) - 1
+        n = data.draw(st.integers(lo, lo + 3))
+        assert corner_block(p, n) == oracles.brute_corner_block(p, n)
+
+    @given(matrix_of_random_shape(max_d=3, max_extent=4, max_cells=16))
+    def test_corner_only_shell(self, p):
+        assert has_corner_only_shell(p) == oracles.brute_corner_only_shell(p)
+
+
+class TestCellCap:
+    """Constructions refuse hosts above the cap before building them."""
+
+    N = 4097  # 4097**2 = 16_785_409 cells
+
+    def test_cap_is_just_exceeded(self):
+        assert self.N**2 > DEFAULT_CELL_LIMIT >= (self.N - 1) ** 2
+
+    def test_identity_layers(self):
+        shape = Shape((self.N, self.N))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            identity_layers(shape, 1)
+        assert "full_mask" not in shape.__dict__
+
+    def test_offset_block(self):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            offset_block(I2, self.N)
+
+    def test_corner_block(self):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            corner_block(I2, self.N)

@@ -126,6 +126,17 @@ class TestAnchored:
             # anchored implies plain containment
             assert contains(m, p) is not None
 
+    @given(host_and_pattern(max_host_cells=16, max_pattern_cells=6, nonzero=True))
+    @example((Matrix01.from_nested([[1, 1], [0, 1]]), Matrix01.from_nested([[1], [1]])))
+    def test_every_anchor_agrees_with_brute_force(self, pair):
+        # every pin position; in the example only the column right of the
+        # anchor (1, 1) holds a copy, which must not count as anchored
+        m, p = pair
+        for anchor in m.iter_ones():
+            got = anchored_contains(m, p, anchor)
+            want = oracles.brute_anchored(m, p, anchor)
+            assert (got and got.selections) == want
+
 
 class TestPotentiallyMatches:
     def test_single_one_pattern(self):
