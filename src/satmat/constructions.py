@@ -7,8 +7,9 @@ family saturating an arbitrary nonzero pattern, and the corner-band family
 with constant weight used for bounded semisaturation.
 
 The nested shells, offset block and corner bands are boxes (products of
-per-dimension index sets) or their complements, built by ``core._box_mask``,
-which refuses hosts above ``DEFAULT_CELL_LIMIT`` cells before building them.
+per-dimension index sets) or their complements, built by ``core._box_mask``.
+Every construction refuses a host or output above ``DEFAULT_CELL_LIMIT``
+cells before building it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     Matrix01,
     Shape,
     _box_mask,
+    _check_cell_limit,
     diagonal_through,
     diagonal_tops,
     is_complete_staircase,
@@ -52,6 +54,7 @@ def diagonal_concatenation(a: Matrix01, b: Matrix01) -> Matrix01:
         raise ValueError("dimension mismatch")
     l = a.shape.extents
     out_shape = Shape(tuple(la + lb for la, lb in zip(l, b.shape.extents)))
+    _check_cell_limit(out_shape)
     bits = 0
     for c in a.iter_ones():
         bits |= 1 << out_shape.flat_index(c)
@@ -165,6 +168,7 @@ def identity_layers(shape: Shape, k: int) -> Matrix01:
 
 def cell_order(shape: Shape, seed: int | None = None) -> list[Coord]:
     """Row-major cell order, or a seeded pseudo-random permutation."""
+    _check_cell_limit(shape)
     cells = list(shape.cells())
     if seed is not None:
         random.Random(seed).shuffle(cells)
@@ -183,6 +187,7 @@ def greedy_saturate(
         raise ValueError("dimension mismatch")
     if p.weight == 0:
         raise ValueError("pattern has no 1-entries")
+    _check_cell_limit(shape)
     if not shape.fits(p.shape):
         raise PatternFitError(
             f"pattern extents {p.shape.extents} exceed host extents {shape.extents}; "

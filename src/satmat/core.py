@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Sequence
 Coord = tuple[int, ...]
 
 # Guard against accidentally materialising huge dense matrices.  Factories and
-# the parser take a ``cell_limit`` argument; pass None to lift the cap.
+# the parser take a ``cell_limit`` argument; pass None to lift the cap.  The
+# constructions apply it as a fixed cap.
 DEFAULT_CELL_LIMIT = 1 << 24
 
 
@@ -330,12 +331,12 @@ class Matrix01:
 
     @classmethod
     def zeros(cls, shape: Shape, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> "Matrix01":
-        _check_cell_limit(shape, cell_limit)
+        _check_cell_limit(shape, cell_limit, overridable=True)
         return cls(shape, 0)
 
     @classmethod
     def filled(cls, shape: Shape, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> "Matrix01":
-        _check_cell_limit(shape, cell_limit)
+        _check_cell_limit(shape, cell_limit, overridable=True)
         return cls(shape, shape.full_mask)
 
     @classmethod
@@ -345,7 +346,7 @@ class Matrix01:
         ones: Iterable[Coord],
         cell_limit: int | None = DEFAULT_CELL_LIMIT,
     ) -> "Matrix01":
-        _check_cell_limit(shape, cell_limit)
+        _check_cell_limit(shape, cell_limit, overridable=True)
         bits = 0
         for c in ones:
             bits |= 1 << shape.flat_index(c)
@@ -357,16 +358,21 @@ class Matrix01:
         extents = []
         probe = nested
         while isinstance(probe, (list, tuple)):
+            if not probe:
+                raise ValueError("empty nested input")
             extents.append(len(probe))
             probe = probe[0]
         shape = Shape(tuple(extents))
         flat: list[int] = []
 
         def walk(node, depth):
+            is_seq = isinstance(node, (list, tuple))
             if depth == len(extents):
+                if is_seq:
+                    raise ValueError("ragged nested input")
                 flat.append(1 if node else 0)
                 return
-            if len(node) != extents[depth]:
+            if not is_seq or len(node) != extents[depth]:
                 raise ValueError("ragged nested input")
             for item in node:
                 walk(item, depth + 1)
@@ -418,12 +424,17 @@ class Matrix01:
         ]
 
 
-def _check_cell_limit(shape: Shape, cell_limit: int | None) -> None:
+def _check_cell_limit(
+    shape: Shape, cell_limit: int | None = DEFAULT_CELL_LIMIT, overridable: bool = False
+) -> None:
+    """Refuse shapes above ``cell_limit`` cells.
+
+    ``overridable`` marks a caller with a ``cell_limit`` parameter, the only
+    kind whose message may advise lifting the cap.
+    """
     if cell_limit is not None and shape.cell_count > cell_limit:
-        raise ValueError(
-            f"{shape.cell_count} cells exceeds the cap of {cell_limit}; "
-            "pass cell_limit=None to override"
-        )
+        hint = "; pass cell_limit=None to override" if overridable else ""
+        raise ValueError(f"{shape.cell_count} cells exceeds the cap of {cell_limit}{hint}")
 
 
 def _box_mask(shape: Shape, index_sets: Sequence[Iterable[int]]) -> int:
@@ -433,7 +444,7 @@ def _box_mask(shape: Shape, index_sets: Sequence[Iterable[int]]) -> int:
     box over i+1..d ORed in at offset (x - 1) * strides[i] per x in set i.
     Shapes above ``DEFAULT_CELL_LIMIT`` are refused before any bit is set.
     """
-    _check_cell_limit(shape, DEFAULT_CELL_LIMIT)
+    _check_cell_limit(shape)
     mask = 1
     for xs, stride in zip(reversed(index_sets), reversed(shape.strides), strict=True):
         row = 0
@@ -486,7 +497,7 @@ def parse_01m(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Matrix0
     if not match:
         raise ParseError(f"bad header line: {header!r}")
     shape = Shape(tuple(int(t) for t in match.group(1).split()))
-    _check_cell_limit(shape, cell_limit)
+    _check_cell_limit(shape, cell_limit, overridable=True)
     bits = 0
     count = 0
     for ch in rest:

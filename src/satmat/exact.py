@@ -3,18 +3,23 @@
 Three quantities over hosts of a given shape: the maximum avoiding weight,
 the minimum saturating weight, and the minimum semisaturating weight.
 
-The searches exploit two facts.  First, semisaturation is monotone upward:
+The search exploits two facts.  First, semisaturation is monotone upward:
 adding 1s never breaks it, because a flip that completed a copy before still
 does.  Second, for a nonzero fitting pattern, saturating is exactly avoiding
-plus semisaturating.  Both minimisations therefore run over "supports": for
-every host cell z, the support sets are the minimal collections of other
-cells which, when all 1, make a flip of z complete a copy through z.  A host
-is semisaturating iff every 0-cell has a support fully inside the 1-set.
+plus semisaturating.  All three quantities therefore run one search over
+"supports": for every host cell z, the support sets are the minimal
+collections of other cells which, when all 1, make a flip of z complete a
+copy through z.  A host is semisaturating iff every 0-cell has a support
+fully inside the 1-set.  ``ssat`` minimises over such hosts, ``sat`` also
+requires avoidance, and ``ex`` maximises over the same hosts as ``sat``: a
+heaviest avoiding host is maximal, hence saturating (the all-one host when
+p cannot fit).
 
-Completed searches are deterministic: the optimum value is found first, then
-a second pass recovers the lexicographically least witness (row-major cell
-string, 0 before 1) at that value.  Budgets abort with a distinct error and
-never return an approximate answer.
+Completed searches are deterministic and make one pass: cells are decided in
+row-major order, 0 before 1, and only strictly better leaves are kept, so the
+first leaf at the optimum is the lexicographically least witness (row-major
+cell string, 0 before 1).  Budgets abort with a distinct error and never
+return an approximate answer.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
 DEFAULT_SSAT_CELLS = 16  # exact_ssat
 
 _TICK = 1024  # nodes between wall-clock checks
-# Frames kept free for the callers of a search: dfs, grow and least recurse
-# once per host cell, so hosts above the recursion limit minus this reserve
-# are refused up front instead of dying in a RecursionError.
+# Frames kept free for the callers of a search: its dfs recurses once per
+# host cell, so hosts above the recursion limit minus this reserve are
+# refused up front instead of dying in a RecursionError.
 _STACK_RESERVE = 200
 
 
@@ -118,7 +123,7 @@ def _minimal_masks(masks: list[int]) -> list[int]:
     return kept
 
 
-def _support_tables(shape: Shape, p: Matrix01, meter: _Meter, want_supports=True):
+def _support_tables(shape: Shape, p: Matrix01, meter: _Meter):
     """Per-cell minimal supports plus per-cell copy masks.
 
     supports[z] holds bitmasks S (not containing z) such that S union {z}
@@ -133,12 +138,11 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter, want_supports=True
     for e in iter_image_masks(shape, p):
         meter.tick()
         copy_masks.append(e)
-        if want_supports:
-            rem = e
-            while rem:
-                low = rem & -rem
-                raw_supports[low.bit_length() - 1].append(e ^ low)
-                rem ^= low
+        rem = e
+        while rem:
+            low = rem & -rem
+            raw_supports[low.bit_length() - 1].append(e ^ low)
+            rem ^= low
     supports = [_minimal_masks(s) for s in raw_supports]
     copy_masks = list(dict.fromkeys(copy_masks))
     copies_by_cell: list[list[int]] = [[] for _ in range(cc)]
@@ -151,193 +155,121 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter, want_supports=True
     return supports, copies_by_cell
 
 
-def _min_cover_search(
+def _search(
     shape: Shape,
     p: Matrix01,
-    meter: _Meter,
+    budget: SearchBudget,
+    default_cells: int,
     require_avoid: bool,
-    incumbent: tuple[int, int],
-):
-    """Minimum-weight host covering every 0-cell (optionally also avoiding p).
+    maximise: bool,
+) -> SearchResult:
+    """Optimum-weight host covering every 0-cell (optionally also avoiding p).
 
-    Returns (value, bits).  ``incumbent`` is a feasible (weight, bits) upper
-    bound; the canonical witness is recovered in a second pass at the
-    optimum.
+    Cells are decided in row-major order, 0 before 1, so leaves arrive in
+    canonical order.  The bound starts one past a feasible incumbent's
+    weight and only strictly better leaves are kept, so the first leaf at
+    the optimum, the canonical witness, is the one returned.
     """
+    _validate(shape, p)
+    _check_cells(shape, budget, default_cells)
+    meter = _Meter(budget)
     cc = shape.cell_count
     full = shape.full_mask
+    incumbent = cc
+    if require_avoid:
+        try:
+            incumbent = greedy_saturate(p, shape).weight
+        except PatternFitError:
+            # nothing ever contains p, so the all-one host is the only
+            # saturating matrix
+            pass
     supports, copies_by_cell = _support_tables(shape, p, meter)
 
     sup_owner: list[int] = []
-    cell_sids: list[list[int]] = [[] for _ in range(cc)]
     occurs: list[list[int]] = [[] for _ in range(cc)]
     for z in range(cc):
         for s in supports[z]:
             sid = len(sup_owner)
             sup_owner.append(z)
-            cell_sids[z].append(sid)
             rem = s
             while rem:
                 low = rem & -rem
                 occurs[low.bit_length() - 1].append(sid)
                 rem ^= low
 
-    best_w, best_bits = incumbent
+    alive = [len(s) for s in supports]
+    dead = [0] * len(sup_owner)
+    decided = [0] * cc  # 0 undecided, 1 in, 2 out
+    forced = sum(1 for z in range(cc) if alive[z] == 0)
+    best = incumbent - 1 if maximise else incumbent + 1
+    best_bits = 0
 
-    def run_pass(target: int | None):
-        """target None: improve best_w/bits.  target w: return least bits."""
-        nonlocal best_w, best_bits
-        alive = [len(cell_sids[z]) for z in range(cc)]
-        dead = [0] * len(sup_owner)
-        decided = [0] * cc  # 0 undecided, 1 in, 2 out
-        forced = sum(1 for z in range(cc) if alive[z] == 0)
-
-        def dfs(t, in_mask, in_count, forced_undec):
-            nonlocal best_w, best_bits
-            meter.tick()
-            if target is None:
-                if in_count + forced_undec >= best_w:
-                    return None
-            else:
-                if in_count + forced_undec > target:
-                    return None
-            if t == cc:
-                if target is None:
-                    best_w, best_bits = in_count, in_mask
-                    return None
-                return in_mask if in_count == target else None
-            bit = 1 << t
-            # try leaving t out first: lighter and lexicographically smaller
-            if alive[t] > 0:
-                decided[t] = 2
-                bad = False
-                df = 0
-                for sid in occurs[t]:
-                    dead[sid] += 1
-                    if dead[sid] == 1:
-                        z = sup_owner[sid]
-                        alive[z] -= 1
-                        if alive[z] == 0:
-                            if decided[z] == 2:
-                                bad = True
-                            elif decided[z] == 0:
-                                df += 1
-                r = None
-                if not bad:
-                    r = dfs(t + 1, in_mask, in_count, forced_undec + df)
-                for sid in occurs[t]:
-                    if dead[sid] == 1:
-                        alive[sup_owner[sid]] += 1
-                    dead[sid] -= 1
-                decided[t] = 0
-                if r is not None:
-                    return r
-            # put t in
-            if require_avoid:
-                inv = full ^ (in_mask | bit)
-                for e in copies_by_cell[t]:
-                    if not e & inv:
-                        return None
-            here_forced = 1 if alive[t] == 0 else 0
-            decided[t] = 1
-            r = dfs(t + 1, in_mask | bit, in_count + 1, forced_undec - here_forced)
+    def dfs(t, in_mask, in_count, forced_undec):
+        nonlocal best, best_bits
+        meter.tick()
+        if maximise:
+            if in_count + (cc - t) <= best:
+                return
+        elif in_count + forced_undec >= best:
+            return
+        if t == cc:
+            best, best_bits = in_count, in_mask
+            return
+        bit = 1 << t
+        # leave t out first: lexicographically smaller
+        if alive[t] > 0:
+            decided[t] = 2
+            bad = False
+            df = 0
+            for sid in occurs[t]:
+                dead[sid] += 1
+                if dead[sid] == 1:
+                    z = sup_owner[sid]
+                    alive[z] -= 1
+                    if alive[z] == 0:
+                        if decided[z] == 2:
+                            bad = True
+                        elif decided[z] == 0:
+                            df += 1
+            if not bad:
+                dfs(t + 1, in_mask, in_count, forced_undec + df)
+            for sid in occurs[t]:
+                if dead[sid] == 1:
+                    alive[sup_owner[sid]] += 1
+                dead[sid] -= 1
             decided[t] = 0
-            return r
+        # put t in
+        if require_avoid:
+            inv = full ^ (in_mask | bit)
+            for e in copies_by_cell[t]:
+                if not e & inv:
+                    return
+        here_forced = 1 if alive[t] == 0 else 0
+        decided[t] = 1
+        dfs(t + 1, in_mask | bit, in_count + 1, forced_undec - here_forced)
+        decided[t] = 0
 
-        return dfs(0, 0, 0, forced)
-
-    run_pass(None)
-    witness = run_pass(best_w)
-    if witness is None:
-        # the incumbent itself is optimal and was never re-reached: it can
-        # only happen if no strictly better solution exists and the second
-        # pass failed, which would be a logic error.
-        raise AssertionError("canonical pass found no witness at the optimum")
-    return best_w, witness
+    dfs(0, 0, 0, forced)
+    return SearchResult(best, Matrix01(shape, best_bits), meter.nodes)
 
 
 def exact_ssat(shape: Shape, p: Matrix01, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Minimum weight of a semisaturating host of the given shape."""
-    _validate(shape, p)
-    _check_cells(shape, budget, DEFAULT_SSAT_CELLS)
-    meter = _Meter(budget)
-    value, bits = _min_cover_search(
-        shape, p, meter, require_avoid=False,
-        incumbent=(shape.cell_count, shape.full_mask),
-    )
-    return SearchResult(value, Matrix01(shape, bits), meter.nodes)
+    return _search(shape, p, budget, DEFAULT_SSAT_CELLS, require_avoid=False, maximise=False)
 
 
 def exact_sat(shape: Shape, p: Matrix01, budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Minimum weight of a saturating host of the given shape."""
-    _validate(shape, p)
-    _check_cells(shape, budget, DEFAULT_BNB_CELLS)
-    meter = _Meter(budget)
-    try:
-        g = greedy_saturate(p, shape)
-        incumbent = (g.weight, g.bits)
-    except PatternFitError:
-        # nothing ever contains p, so the all-one host is the only
-        # saturating matrix
-        incumbent = (shape.cell_count, shape.full_mask)
-    value, bits = _min_cover_search(
-        shape, p, meter, require_avoid=True, incumbent=incumbent
-    )
-    return SearchResult(value, Matrix01(shape, bits), meter.nodes)
+    return _search(shape, p, budget, DEFAULT_BNB_CELLS, require_avoid=True, maximise=False)
 
 
 def exact_ex(shape: Shape, p: Matrix01, budget: SearchBudget = SearchBudget()) -> SearchResult:
-    """Maximum weight of a host avoiding p (the all-one matrix if p cannot fit)."""
-    _validate(shape, p)
-    _check_cells(shape, budget, DEFAULT_BNB_CELLS)
-    meter = _Meter(budget)
-    cc = shape.cell_count
-    full = shape.full_mask
-    _, copies_by_cell = _support_tables(shape, p, meter, want_supports=False)
+    """Maximum weight of a host avoiding p (the all-one matrix if p cannot fit).
 
-    best = -1
-
-    def grow(t, in_mask, in_count):
-        nonlocal best
-        meter.tick()
-        if in_count + (cc - t) <= best:
-            return
-        if t == cc:
-            best = in_count
-            return
-        bit = 1 << t
-        inv = full ^ (in_mask | bit)
-        ok = True
-        for e in copies_by_cell[t]:
-            if not e & inv:
-                ok = False
-                break
-        if ok:
-            grow(t + 1, in_mask | bit, in_count + 1)
-        grow(t + 1, in_mask, in_count)
-
-    grow(0, 0, 0)
-
-    def least(t, in_mask, in_count):
-        meter.tick()
-        if in_count + (cc - t) < best:
-            return None
-        if t == cc:
-            return in_mask
-        r = least(t + 1, in_mask, in_count)
-        if r is not None:
-            return r
-        bit = 1 << t
-        inv = full ^ (in_mask | bit)
-        for e in copies_by_cell[t]:
-            if not e & inv:
-                return None
-        return least(t + 1, in_mask | bit, in_count + 1)
-
-    bits = least(0, 0, 0)
-    if bits is None:
-        raise AssertionError("canonical pass found no witness at the optimum")
-    return SearchResult(best, Matrix01(shape, bits), meter.nodes)
+    A heaviest avoiding host is maximal, hence saturating, so this is the
+    heaviest host of the search ``exact_sat`` runs.
+    """
+    return _search(shape, p, budget, DEFAULT_BNB_CELLS, require_avoid=True, maximise=True)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,27 @@ class TestConstruct:
         assert payload["status"] == "error"
         assert "exceeds the cap" in payload["reason"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "greedy", "--shape", "4097", "4097"],
+            ["--kind", "identity-layers", "--shape", "4097", "4097", "--k", "1"],
+            ["--kind", "offset-block", "--n", "4097"],
+            ["--kind", "corner-block", "--n", "4097"],
+        ],
+    )
+    def test_cap_reason_has_no_override_advice(self, files, capsys, monkeypatch, args):
+        # a missing check would fail here instead of listing 16.8M cells
+        monkeypatch.setattr(Shape, "cells", lambda self: pytest.fail("cells listed"))
+        pat = files("p.01m", I2)
+        code, out, err = run(capsys, ["construct", *args, "--pattern", pat])
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["status"] == "error"
+        assert "exceeds the cap" in payload["reason"]
+        assert "cell_limit" not in payload["reason"]
+
     def test_greedy_nonfitting_is_input_error(self, files, capsys):
         pat = files("p.01m", identity_pattern(2, 3))
         code, _, err = run(

@@ -351,3 +351,36 @@ class TestCellCap:
     def test_corner_block(self):
         with pytest.raises(ValueError, match="exceeds the cap"):
             corner_block(I2, self.N)
+
+    def test_reasons_do_not_mention_cell_limit(self):
+        # these constructions take no cell_limit parameter to lift the cap
+        for build in (
+            lambda: identity_layers(Shape((self.N, self.N)), 1),
+            lambda: offset_block(I2, self.N),
+            lambda: corner_block(I2, self.N),
+        ):
+            with pytest.raises(ValueError, match="exceeds the cap") as err:
+                build()
+            assert "cell_limit" not in str(err.value)
+
+    def test_cell_order_and_greedy(self, monkeypatch):
+        # a missing check would fail here instead of listing 16.8M cells
+        monkeypatch.setattr(Shape, "cells", lambda self: pytest.fail("cells listed"))
+        shape = Shape((self.N, self.N))
+        for build in (
+            lambda: cell_order(shape),
+            lambda: cell_order(shape, seed=1),
+            lambda: greedy_saturate(I2, shape),
+            lambda: greedy_saturate(I2, shape, order=[]),
+        ):
+            with pytest.raises(ValueError, match="exceeds the cap") as err:
+                build()
+            assert "cell_limit" not in str(err.value)
+
+    def test_diagonal_concatenation_output(self):
+        # two 4096-cell inputs whose concatenation has 4097**2 cells
+        a = Matrix01.filled(Shape((1, self.N - 1)))
+        b = Matrix01.filled(Shape((self.N - 1, 1)))
+        with pytest.raises(ValueError, match="exceeds the cap") as err:
+            diagonal_concatenation(a, b)
+        assert "cell_limit" not in str(err.value)

@@ -179,6 +179,27 @@ class TestMatrix01:
         assert m.shape.extents == (2, 3)
         assert sorted(m.iter_ones()) == [(1, 1), (1, 3), (2, 2)]
 
+    @pytest.mark.parametrize("nested", [[], [[]], [[], []], [[[]]]])
+    def test_from_nested_empty(self, nested):
+        with pytest.raises(ValueError, match="empty"):
+            Matrix01.from_nested(nested)
+
+    @pytest.mark.parametrize("nested", [[1, [0]], [[1, [0, 0]]], [[1, 0], 5], [[1], [0, 1]]])
+    def test_from_nested_ragged(self, nested):
+        with pytest.raises(ValueError, match="ragged"):
+            Matrix01.from_nested(nested)
+
+    def test_factories_advise_lifting_the_cap(self):
+        shape = Shape((2,) * 25)
+        for build in (
+            lambda: Matrix01.zeros(shape),
+            lambda: Matrix01.filled(shape),
+            lambda: Matrix01.from_ones(shape, []),
+            lambda: parse_01m("dims: " + "2 " * 25),
+        ):
+            with pytest.raises(ValueError, match="pass cell_limit=None to override"):
+                build()
+
     @given(matrix_of_random_shape())
     def test_weight_and_iteration(self, m):
         ones = list(m.iter_ones())

@@ -2,8 +2,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given
 
 import oracles
+from conftest import host_and_pattern
 from satmat import (
     BudgetExceededError,
     Matrix01,
@@ -105,6 +107,21 @@ class TestBruteForceAgreement:
             assert exact_ssat(shape, p).value == b_ssat
             assert exact_sat(shape, p).value == b_sat
             assert exact_ex(shape, p).value == b_ex
+
+    @given(host_and_pattern(max_host_cells=10, nonzero=True))
+    # non-fitting: every cell is forced to 1
+    @example((Matrix01.zeros(Shape((2, 2))), I3))
+    # the greedy incumbent is already optimal for both sat and ex
+    @example((Matrix01.zeros(Shape((3, 3))), I2))
+    @example((Matrix01.zeros(Shape((10,))), Matrix01.from_nested([1, 0, 1])))
+    @example((Matrix01.zeros(Shape((2, 2, 2))), identity_pattern(3, 2)))
+    def test_canonical_witnesses_across_dimensions(self, pair):
+        host, p = pair
+        shape = host.shape
+        expected = oracles.brute_exact_values(shape, p)
+        for fn, (value, witness) in zip((exact_ssat, exact_sat, exact_ex), expected):
+            res = fn(shape, p)
+            assert (res.value, res.witness) == (value, witness), fn.__name__
 
 
 class TestWitnessValidity:
