@@ -17,8 +17,10 @@ qualifying entry, property (i) the canonically-first failing face.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .core import Coord, CrossSectionSpec, Matrix01, iter_faces
 
@@ -55,14 +57,21 @@ def lone_in_hyperplane(p: Matrix01, o: Coord, i: int) -> bool:
     return sum(1 for c in p.iter_ones() if c[i - 1] == o[i - 1]) == 1
 
 
+def _first_lone_entry(p: Matrix01, pinned: int) -> Coord | None:
+    """Row-major-first 1-entry alone in each cross section pinning ``pinned`` dims."""
+    ones = list(p.iter_ones())
+    keys = [itemgetter(*dims) for dims in combinations(range(p.shape.d), pinned)]
+    sections = [(key, Counter(map(key, ones))) for key in keys]
+    for o in ones:
+        if all(hits[key(o)] == 1 for key, hits in sections):
+            return o
+    return None
+
+
 def property_ii(p: Matrix01) -> Coord | None:
     """Row-major-first 1-entry lone in every codimension-one cross section."""
     _require_nonzero(p)
-    counts = _hyperplane_counts(p)
-    for o in p.iter_ones():
-        if all(counts[i][o[i] - 1] == 1 for i in range(p.shape.d)):
-            return o
-    return None
+    return _first_lone_entry(p, 1)
 
 
 def property_i(p: Matrix01) -> CrossSectionSpec | None:
@@ -101,19 +110,7 @@ def lone_entry_condition(p: Matrix01, dprime: int) -> Coord | None:
     d = p.shape.d
     if not 1 <= dprime < d:
         raise ValueError(f"dprime must be in [1, {d - 1}]")
-    ones = list(p.iter_ones())
-    for o in ones:
-        good = True
-        for dims in combinations(range(d), d - dprime):
-            hits = sum(
-                1 for c in ones if all(c[i] == o[i] for i in dims)
-            )
-            if hits != 1:
-                good = False
-                break
-        if good:
-            return o
-    return None
+    return _first_lone_entry(p, d - dprime)
 
 
 def classify_ssat(p: Matrix01) -> SsatVerdict:

@@ -18,7 +18,7 @@ import random
 from math import prod
 from typing import Iterable, Sequence
 
-from .containment import _pinned_hits
+from .containment import _check_dims, _pinned_hits
 from .core import (
     Coord,
     Matrix01,
@@ -183,8 +183,7 @@ def greedy_saturate(
     The result is maximal avoiding, hence saturating, for any nonzero
     fitting pattern and any visiting order.
     """
-    if p.shape.d != shape.d:
-        raise ValueError("dimension mismatch")
+    _check_dims(shape, p)
     if p.weight == 0:
         raise ValueError("pattern has no 1-entries")
     _check_cell_limit(shape)

@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Iterator
 
-from .core import Coord, Matrix01, Shape
+from .core import Coord, Matrix01, Shape, _recursion_ceiling
 
 # Above this many candidate embeddings enumerate_embeddings refuses to run.
 ENUMERATION_LIMIT = 1_000_000
@@ -53,11 +53,21 @@ def embedding_is_valid(m: Matrix01, p: Matrix01, e: Embedding) -> bool:
     return all(m.get(e.host_cell(q)) for q in p.iter_ones())
 
 
-def _check_same_d(m: Matrix01, p: Matrix01) -> None:
-    if m.shape.d != p.shape.d:
+def _check_dims(host: Shape, p: Matrix01) -> None:
+    """The dimension gate of every containment and verdict question.
+
+    Host and pattern must agree on d, and d must stay within the recursion
+    ceiling, since ``_search`` recurses once per dimension.
+    """
+    if host.d != p.shape.d:
         raise ValueError(
-            f"dimension mismatch: host is {m.shape.d}-dimensional, "
+            f"dimension mismatch: host is {host.d}-dimensional, "
             f"pattern is {p.shape.d}-dimensional"
+        )
+    ceiling = _recursion_ceiling()
+    if host.d > ceiling:
+        raise ValueError(
+            f"{host.d} dimensions exceeds the recursion ceiling of {ceiling}"
         )
 
 
@@ -178,7 +188,7 @@ def contains(m: Matrix01, p: Matrix01) -> Embedding | None:
     avoided (None), not an error.  An all-zero pattern that fits is matched
     by the identity selections.
     """
-    _check_same_d(m, p)
+    _check_dims(m.shape, p)
     if not m.shape.fits(p.shape):
         return None
     prefixes, by_last, _ = _pattern_meta(p)
@@ -222,7 +232,7 @@ def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
 
 def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | None:
     """Least embedding that selects ``anchor`` and maps it to a 1-entry of p."""
-    _check_same_d(m, p)
+    _check_dims(m.shape, p)
     if not m.shape.in_bounds(anchor):
         raise ValueError(f"anchor {anchor} out of bounds")
     if not m.get(anchor):
@@ -234,7 +244,7 @@ def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | No
 
 def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:
     """Whether flipping the 0-entry z yields a copy of p mapping z to o."""
-    _check_same_d(m, p)
+    _check_dims(m.shape, p)
     if not m.shape.in_bounds(z):
         raise ValueError(f"coordinate {z} out of bounds")
     if m.get(z):
@@ -327,7 +337,7 @@ def enumerate_embeddings(
     Gated to small instances; raises ValueError when the raw selection count
     exceeds ``limit``.
     """
-    _check_same_d(m, p)
+    _check_dims(m.shape, p)
     if not m.shape.fits(p.shape):
         return []
     total = embeddings_count(m.shape, p)

@@ -9,43 +9,39 @@ does.  Second, for a nonzero fitting pattern, saturating is exactly avoiding
 plus semisaturating.  All three quantities therefore run one search over
 "supports": for every host cell z, the support sets are the minimal
 collections of other cells which, when all 1, make a flip of z complete a
-copy through z.  A host is semisaturating iff every 0-cell has a support
-fully inside the 1-set.  ``ssat`` minimises over such hosts, ``sat`` also
-requires avoidance, and ``ex`` maximises over the same hosts as ``sat``: a
-heaviest avoiding host is maximal, hence saturating (the all-one host when
-p cannot fit).
+copy through z.  The minimal supports are the search's only table.  A host
+is semisaturating iff every 0-cell has a support fully inside the 1-set.
+``ssat`` minimises over such hosts, ``sat`` also requires avoidance, and
+``ex`` maximises over the same hosts as ``sat``: a heaviest avoiding host is
+maximal, hence saturating (the all-one host when p cannot fit).  While the
+decided 1s avoid p, a 1 at t completes a copy iff a support of t is all 1.
 
-Completed searches are deterministic and make one pass: cells are decided in
-row-major order, 0 before 1, and only strictly better leaves are kept, so the
-first leaf at the optimum is the lexicographically least witness (row-major
-cell string, 0 before 1).  Budgets abort with a distinct error and never
-return an approximate answer.
+Completed searches are deterministic and make one pass with no incumbent:
+cells are decided in row-major order, 0 before 1, every leaf is feasible,
+and only strictly better leaves are kept, so the first leaf at the optimum
+is the lexicographically least witness (row-major cell string, 0 before 1).
+All of a search's work runs under its budget.  Budgets abort with a distinct
+error and never return an approximate answer.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
 from .constructions import (
-    PatternFitError,
     diagonal_concatenation,
-    greedy_saturate,
     has_corner_only_shell,
     identity_pattern,
 )
 from .containment import iter_image_masks
-from .core import Matrix01, Shape
+from .core import _STACK_RESERVE  # noqa: F401 - re-exported for sizing hosts
+from .core import Matrix01, Shape, _recursion_ceiling
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
 DEFAULT_SSAT_CELLS = 16  # exact_ssat
 
 _TICK = 1024  # nodes between wall-clock checks
-# Frames kept free for the callers of a search: its dfs recurses once per
-# host cell, so hosts above the recursion limit minus this reserve are
-# refused up front instead of dying in a RecursionError.
-_STACK_RESERVE = 200
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,7 +94,8 @@ def _check_cells(shape: Shape, budget: SearchBudget, default_cells: int) -> None
         raise BudgetExceededError(
             f"{shape.cell_count} cells exceeds the budget of {cap}"
         )
-    ceiling = sys.getrecursionlimit() - _STACK_RESERVE
+    # the dfs recurses once per host cell
+    ceiling = _recursion_ceiling()
     if shape.cell_count > ceiling:
         raise BudgetExceededError(
             f"{shape.cell_count} cells exceeds the recursion ceiling of {ceiling}"
@@ -123,36 +120,23 @@ def _minimal_masks(masks: list[int]) -> list[int]:
     return kept
 
 
-def _support_tables(shape: Shape, p: Matrix01, meter: _Meter):
-    """Per-cell minimal supports plus per-cell copy masks.
+def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]:
+    """Per-cell minimal supports.
 
-    supports[z] holds bitmasks S (not containing z) such that S union {z}
-    carries a copy of p using z as a 1.  copies_by_cell[c] holds full copy
-    masks containing c, consumed by the incremental avoidance check.
-    Enumerated selections count against the meter so budgets also bound the
-    table construction, not just the search proper.
+    supports[z] holds the minimal bitmasks S (not containing z) such that
+    S union {z} carries a copy of p using z as a 1.  Enumerated selections
+    count against the meter so budgets also bound the table construction,
+    not just the search proper.
     """
-    cc = shape.cell_count
-    raw_supports: list[list[int]] = [[] for _ in range(cc)]
-    copy_masks: list[int] = []
+    raw_supports: list[list[int]] = [[] for _ in range(shape.cell_count)]
     for e in iter_image_masks(shape, p):
         meter.tick()
-        copy_masks.append(e)
         rem = e
         while rem:
             low = rem & -rem
             raw_supports[low.bit_length() - 1].append(e ^ low)
             rem ^= low
-    supports = [_minimal_masks(s) for s in raw_supports]
-    copy_masks = list(dict.fromkeys(copy_masks))
-    copies_by_cell: list[list[int]] = [[] for _ in range(cc)]
-    for e in copy_masks:
-        rem = e
-        while rem:
-            low = rem & -rem
-            copies_by_cell[low.bit_length() - 1].append(e)
-            rem ^= low
-    return supports, copies_by_cell
+    return [_minimal_masks(s) for s in raw_supports]
 
 
 def _search(
@@ -166,24 +150,16 @@ def _search(
     """Optimum-weight host covering every 0-cell (optionally also avoiding p).
 
     Cells are decided in row-major order, 0 before 1, so leaves arrive in
-    canonical order.  The bound starts one past a feasible incumbent's
-    weight and only strictly better leaves are kept, so the first leaf at
-    the optimum, the canonical witness, is the one returned.
+    canonical order.  With no incumbent the bound starts outside every
+    weight; every leaf is feasible and only strictly better leaves are kept,
+    so the first leaf at the optimum is the canonical witness.  A pattern
+    that cannot fit has no supports, so every cell is forced in.
     """
     _validate(shape, p)
     _check_cells(shape, budget, default_cells)
     meter = _Meter(budget)
     cc = shape.cell_count
-    full = shape.full_mask
-    incumbent = cc
-    if require_avoid:
-        try:
-            incumbent = greedy_saturate(p, shape).weight
-        except PatternFitError:
-            # nothing ever contains p, so the all-one host is the only
-            # saturating matrix
-            pass
-    supports, copies_by_cell = _support_tables(shape, p, meter)
+    supports = _support_tables(shape, p, meter)
 
     sup_owner: list[int] = []
     occurs: list[list[int]] = [[] for _ in range(cc)]
@@ -201,7 +177,7 @@ def _search(
     dead = [0] * len(sup_owner)
     decided = [0] * cc  # 0 undecided, 1 in, 2 out
     forced = sum(1 for z in range(cc) if alive[z] == 0)
-    best = incumbent - 1 if maximise else incumbent + 1
+    best = -1 if maximise else cc + 1
     best_bits = 0
 
     def dfs(t, in_mask, in_count, forced_undec):
@@ -238,11 +214,11 @@ def _search(
                     alive[sup_owner[sid]] += 1
                 dead[sid] -= 1
             decided[t] = 0
-        # put t in
+        # put t in; the decided 1s avoid p, so a new copy would use t and
+        # hold one of its minimal supports
         if require_avoid:
-            inv = full ^ (in_mask | bit)
-            for e in copies_by_cell[t]:
-                if not e & inv:
+            for s in supports[t]:
+                if not s & ~in_mask:
                     return
         here_forced = 1 if alive[t] == 0 else 0
         decided[t] = 1

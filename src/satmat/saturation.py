@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .containment import (
     Embedding,
-    _check_same_d,
+    _check_dims,
     _lines_with_flip,
     _pinned_hits,
     contains,
@@ -109,7 +109,7 @@ def is_saturating(m: Matrix01, p: Matrix01) -> SaturationReport:
     Patterns that do not fit are avoided vacuously and no flip can create a
     copy, so the only saturating host is the all-one matrix.
     """
-    _check_same_d(m, p)
+    _check_dims(m.shape, p)
     if p.weight == 0:
         if m.weight == 0:
             return _OK
@@ -119,7 +119,7 @@ def is_saturating(m: Matrix01, p: Matrix01) -> SaturationReport:
 
 def is_semisaturating(m: Matrix01, p: Matrix01) -> SaturationReport:
     """Does every 0-to-1 flip create a new copy anchored at the flipped cell?"""
-    _check_same_d(m, p)
+    _check_dims(m.shape, p)
     if p.weight == 0:
         return _OK
     return _flip_verdict(m, p, must_avoid=False)

@@ -69,6 +69,9 @@ class TestPropertyII:
         p = Matrix01.from_nested([[0, 1], [1, 0]])
         assert property_ii(p) == (1, 2)
 
+    def test_one_dimensional_first_entry(self):
+        assert property_ii(Matrix01.from_nested([0, 1, 1])) == (2,)
+
     def test_zero_pattern_rejected(self):
         with pytest.raises(ValueError):
             property_ii(Matrix01.zeros(Shape((2, 2))))
@@ -123,6 +126,18 @@ class TestLoneEntryCondition:
             lone_entry_condition(I2, 2)
         with pytest.raises(ValueError):
             lone_entry_condition(I2, 0)
+
+    def test_same_entry_as_property_ii_over_both_universes(self):
+        # every nonzero 2-D pattern up to 3x3 and 3-D pattern up to 2x2x2
+        exts = [*product(range(1, 4), repeat=2), *product(range(1, 3), repeat=3)]
+        seen = 0
+        for ext in exts:
+            shape = Shape(ext)
+            for bits in range(1, 1 << shape.cell_count):
+                p = Matrix01(shape, bits)
+                assert lone_entry_condition(p, shape.d - 1) == property_ii(p), (ext, bits)
+                seen += 1
+        assert seen == 983
 
     @given(pattern_2d())
     def test_matches_property_ii_at_codimension_one(self, p):

@@ -89,6 +89,21 @@ class TestVerify:
         assert json.loads(out)["verdict"] is True
 
 
+# the containment kernel recurses once per dimension; deeper inputs are
+# refused as input errors
+@pytest.mark.parametrize("command", [["contains"], ["verify", "sat"], ["verify", "ssat"]])
+def test_dimension_ceiling(files, capsys, command):
+    d = sys.getrecursionlimit() - _STACK_RESERVE + 1
+    unit = files("unit.01m", Matrix01.filled(Shape((1,) * d)))
+    code, out, err = run(capsys, [*command, unit, unit])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["status"] == "error"
+    assert "recursion ceiling" in payload["reason"]
+    assert "Traceback" not in err
+
+
 class TestConstruct:
     def test_identity_layers(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given
 
@@ -12,10 +14,14 @@ from satmat import (
     embedding_is_valid,
     embeddings_count,
     enumerate_embeddings,
+    greedy_saturate,
     identity_pattern,
+    is_saturating,
+    is_semisaturating,
     potentially_matches,
 )
 from satmat.containment import one_image_masks
+from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 
@@ -223,3 +229,33 @@ class TestEnumeration:
         p = Matrix01.zeros(Shape((10, 10)))
         with pytest.raises(ValueError):
             enumerate_embeddings(m, p, limit=1000)
+
+
+class TestDimensionCeiling:
+    def test_every_entry_point_at_and_above_the_ceiling(self):
+        # the kernel recurses once per dimension; a deeper host is refused
+        # by the one dimension gate instead of dying in a RecursionError
+        ceiling = sys.getrecursionlimit() - _STACK_RESERVE
+        for d in (ceiling, ceiling + 1):
+            shape = Shape((1,) * d)
+            one, zero, cell = Matrix01.filled(shape), Matrix01.zeros(shape), (1,) * d
+            calls = {
+                "contains": (lambda: contains(one, one), Embedding(((1,),) * d)),
+                "anchored_contains": (
+                    lambda: anchored_contains(one, one, cell),
+                    Embedding(((1,),) * d),
+                ),
+                "potentially_matches": (
+                    lambda: potentially_matches(zero, cell, one, cell),
+                    True,
+                ),
+                "is_saturating": (lambda: is_saturating(one, one).failure_kind, "contains_pattern"),
+                "is_semisaturating": (lambda: is_semisaturating(zero, one).verdict, True),
+                "greedy_saturate": (lambda: greedy_saturate(one, shape), zero),
+            }
+            for name, (call, want) in calls.items():
+                if d == ceiling:
+                    assert call() == want, name
+                else:
+                    with pytest.raises(ValueError, match="recursion ceiling"):
+                        call()

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given
@@ -111,7 +112,7 @@ class TestBruteForceAgreement:
     @given(host_and_pattern(max_host_cells=10, nonzero=True))
     # non-fitting: every cell is forced to 1
     @example((Matrix01.zeros(Shape((2, 2))), I3))
-    # the greedy incumbent is already optimal for both sat and ex
+    # the identity pattern on a square host, where sat equals ex
     @example((Matrix01.zeros(Shape((3, 3))), I2))
     @example((Matrix01.zeros(Shape((10,))), Matrix01.from_nested([1, 0, 1])))
     @example((Matrix01.zeros(Shape((2, 2, 2))), identity_pattern(3, 2)))
@@ -191,6 +192,16 @@ class TestBudgets:
         p = Matrix01.from_nested([1, 1, 1, 1, 1])
         with pytest.raises(BudgetExceededError):
             exact_ssat(Shape((16,)), p, SearchBudget(node_limit=10))
+
+    def test_time_budget_covers_the_whole_search(self):
+        # every step runs under the meter, so a tiny time limit on a large
+        # host aborts at once instead of after a pass outside the budget
+        budget = SearchBudget(max_cells=784, time_limit=0.01)
+        for fn in (exact_sat, exact_ex):
+            start = time.monotonic()
+            with pytest.raises(BudgetExceededError):
+                fn(Shape((28, 28)), I3, budget)
+            assert time.monotonic() - start < 0.1, fn.__name__
 
     def test_recursion_ceiling(self):
         # the searches recurse once per host cell; a host the recursion
