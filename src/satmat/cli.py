@@ -146,9 +146,13 @@ def cmd_exact(args) -> int:
     try:
         res = fn(shape, pattern, _budget(args))
     except exact.BudgetExceededError as err:
+        bounds = None
+        if err.bounds is not None:
+            bounds = dict(zip(("lower", "upper"), err.bounds))
         _emit(
             {
                 "value": None,
+                "bounds": bounds,
                 "witness": None,
                 "nodes": err.nodes,
                 "status": "budget_exceeded",

@@ -16,12 +16,25 @@ is semisaturating iff every 0-cell has a support fully inside the 1-set.
 maximal, hence saturating (the all-one host when p cannot fit).  While the
 decided 1s avoid p, a 1 at t completes a copy iff a support of t is all 1.
 
+``ex`` prunes by a block bound.  The diagonals of the host partition it into
+blocks, and a block's capacity is the largest subset of it with no copy of
+p lying wholly inside it (for the identity pattern I_{k+1} that is
+min(length, k)); an avoiding host holds at most the capacity in each block.
+The capacities come from the supports by a small maximising search per
+block: a copy inside a block through its last cell t holds a support of t
+inside the block.  With out_B the cells of block B decided 0, every
+completion weighs at most ``cc - sum_B max(out_B, len_B - cap_B)``, which
+starts at the sum of the capacities and drops by one exactly when a cell is
+left out of a block that has already left out its quota.
+
 Completed searches are deterministic and make one pass with no incumbent:
 cells are decided in row-major order, 0 before 1, every leaf is feasible,
 and only strictly better leaves are kept, so the first leaf at the optimum
 is the lexicographically least witness (row-major cell string, 0 before 1).
-All of a search's work runs under its budget.  Budgets abort with a distinct
-error and never return an approximate answer.
+The bounds only cut subtrees that cannot beat the best leaf, so they never
+change the witness.  All of a search's work, the tables and capacities
+included, runs under its budget.  Budgets abort with a distinct error that
+carries the bounds proven so far and never return an approximate answer.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from .constructions import (
 )
 from .containment import iter_image_masks
 from .core import _STACK_RESERVE  # noqa: F401 - re-exported for sizing hosts
-from .core import Matrix01, Shape, _recursion_ceiling
+from .core import Matrix01, Shape, _recursion_ceiling, diagonals
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
 DEFAULT_SSAT_CELLS = 16  # exact_ssat
@@ -45,11 +58,17 @@ _TICK = 1024  # nodes between wall-clock checks
 
 
 class BudgetExceededError(RuntimeError):
-    """A search hit its cell, node, or time budget before finishing."""
+    """A search hit its cell, node, or time budget before finishing.
+
+    ``bounds`` is ``(lower, upper)`` on the optimum proven when the branch
+    and bound was cut, either side ``None`` when not yet known, or ``None``
+    when the abort came before the branch and bound started.
+    """
 
     def __init__(self, reason: str, nodes: int = 0):
         super().__init__(reason)
         self.nodes = nodes
+        self.bounds: tuple[int | None, int | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -83,8 +102,9 @@ class _Meter:
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise BudgetExceededError("node budget exceeded", self.nodes)
-        if self.deadline is not None and self.nodes % _TICK == 0:
-            if time.monotonic() > self.deadline:
+        # the first tick checks too, so an expired budget stops short searches
+        if self.deadline is not None and self.nodes % _TICK == 1:
+            if time.monotonic() >= self.deadline:
                 raise BudgetExceededError("time budget exceeded", self.nodes)
 
 
@@ -139,6 +159,50 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]
     return [_minimal_masks(s) for s in raw_supports]
 
 
+def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) -> int:
+    """Largest subset of ``cells`` with no copy of p lying wholly inside it.
+
+    A maximising search over the cells in order, 1 before 0: while the
+    chosen cells avoid p, adding t completes a copy iff a support of t is
+    already chosen, and that copy lies inside the chosen cells.
+    """
+    length = len(cells)
+    best = 0
+
+    def grow(i, in_mask, count):
+        nonlocal best
+        meter.tick()
+        if count + (length - i) <= best:
+            return
+        if i == length:
+            best = count
+            return
+        t = cells[i]
+        if all(s & ~in_mask for s in supports[t]):
+            grow(i + 1, in_mask | 1 << t, count + 1)
+        grow(i + 1, in_mask, count)
+
+    grow(0, 0, 0)
+    return best
+
+
+def _diagonal_blocks(
+    shape: Shape, supports: list[list[int]], meter: _Meter
+) -> tuple[list[int], list[int]]:
+    """Each cell's diagonal and each diagonal's quota of cells to leave out.
+
+    The quota is the diagonal's length minus its capacity.
+    """
+    block_of = [0] * shape.cell_count
+    quota = []
+    for b, diagonal in enumerate(diagonals(shape)):
+        cells = [shape.flat_index(c) for c in diagonal]
+        for z in cells:
+            block_of[z] = b
+        quota.append(len(cells) - _block_capacity(cells, supports, meter))
+    return block_of, quota
+
+
 def _search(
     shape: Shape,
     p: Matrix01,
@@ -154,6 +218,13 @@ def _search(
     weight; every leaf is feasible and only strictly better leaves are kept,
     so the first leaf at the optimum is the canonical witness.  A pattern
     that cannot fit has no supports, so every cell is forced in.
+
+    Minimising prunes when the 1s plus the undecided cells with no live
+    support cannot beat the best leaf.  Maximising carries the diagonal
+    block bound ``cc - sum_B max(out_B, quota_B)``: ``room[B]`` counts down
+    from the quota as cells of B are left out, and once it is negative each
+    further 0 in B lowers the bound by one; a 1 never changes it.  On a
+    budget abort the error carries the bounds proven so far.
     """
     _validate(shape, p)
     _check_cells(shape, budget, default_cells)
@@ -176,17 +247,22 @@ def _search(
     alive = [len(s) for s in supports]
     dead = [0] * len(sup_owner)
     decided = [0] * cc  # 0 undecided, 1 in, 2 out
-    forced = sum(1 for z in range(cc) if alive[z] == 0)
+    if maximise:
+        block_of, room = _diagonal_blocks(shape, supports, meter)
+        root = cc - sum(room)
+    else:
+        root = sum(1 for z in range(cc) if alive[z] == 0)
     best = -1 if maximise else cc + 1
     best_bits = 0
 
-    def dfs(t, in_mask, in_count, forced_undec):
+    # bound: the block bound when maximising, else the forced undecided cells
+    def dfs(t, in_mask, in_count, bound):
         nonlocal best, best_bits
         meter.tick()
         if maximise:
-            if in_count + (cc - t) <= best:
+            if bound <= best:
                 return
-        elif in_count + forced_undec >= best:
+        elif in_count + bound >= best:
             return
         if t == cc:
             best, best_bits = in_count, in_mask
@@ -208,7 +284,13 @@ def _search(
                         elif decided[z] == 0:
                             df += 1
             if not bad:
-                dfs(t + 1, in_mask, in_count, forced_undec + df)
+                if maximise:
+                    b = block_of[t]
+                    room[b] -= 1
+                    dfs(t + 1, in_mask, in_count, bound - (room[b] < 0))
+                    room[b] += 1
+                else:
+                    dfs(t + 1, in_mask, in_count, bound + df)
             for sid in occurs[t]:
                 if dead[sid] == 1:
                     alive[sup_owner[sid]] += 1
@@ -220,12 +302,19 @@ def _search(
             for s in supports[t]:
                 if not s & ~in_mask:
                     return
-        here_forced = 1 if alive[t] == 0 else 0
         decided[t] = 1
-        dfs(t + 1, in_mask | bit, in_count + 1, forced_undec - here_forced)
+        if maximise:
+            dfs(t + 1, in_mask | bit, in_count + 1, bound)
+        else:
+            dfs(t + 1, in_mask | bit, in_count + 1, bound - (alive[t] == 0))
         decided[t] = 0
 
-    dfs(0, 0, 0, forced)
+    try:
+        dfs(0, 0, 0, root)
+    except BudgetExceededError as err:
+        found = best if 0 <= best <= cc else None
+        err.bounds = (found, root) if maximise else (root, found)
+        raise
     return SearchResult(best, Matrix01(shape, best_bits), meter.nodes)
 
 

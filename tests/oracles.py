@@ -104,6 +104,20 @@ def brute_property_i(p: Matrix01):
     return None
 
 
+def brute_block_cap(block_cells, shape: Shape, p: Matrix01) -> int:
+    """Largest subset of one block with no copy of p, over all its subsets.
+
+    A host whose 1s are the subset holds only copies lying inside the block.
+    """
+    cells = list(block_cells)
+    best = 0
+    for bits in range(1 << len(cells)):
+        chosen = [c for i, c in enumerate(cells) if bits >> i & 1]
+        if len(chosen) > best and brute_contains(Matrix01.from_ones(shape, chosen), p) is None:
+            best = len(chosen)
+    return best
+
+
 def _host_where(shape: Shape, is_one) -> Matrix01:
     return Matrix01.from_ones(shape, [c for c in shape.cells() if is_one(c)])
 

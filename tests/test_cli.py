@@ -229,6 +229,33 @@ class TestExact:
         assert code == 3
         assert json.loads(out)["status"] == "budget_exceeded"
 
+    def test_budget_exceeded_reports_bounds(self, files, capsys):
+        pat = files("p.01m", I2)
+        # I2 on 7x7 has two forced corners and sat 13; the search takes
+        # seconds, so the time budget runs out in the branch and bound
+        code, out, _ = run(
+            capsys,
+            ["exact", "sat", "--shape", "7", "7", "--pattern", pat,
+             "--budget-cells", "49", "--budget-seconds", "0.3"],
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["format_version"] == 1
+        assert payload["status"] == "budget_exceeded"
+        assert payload["value"] is None
+        bounds = payload["bounds"]
+        assert bounds["lower"] == 2
+        assert bounds["upper"] is None or bounds["upper"] >= 13
+        # an expired budget stops on the first node, before any bound exists
+        code, out, _ = run(
+            capsys,
+            ["exact", "ex", "--shape", "3", "3", "--pattern", pat, "--budget-seconds", "0"],
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["value"] is None and payload["bounds"] is None
+        assert payload["nodes"] == 1
+
     def test_recursion_ceiling(self, files, capsys):
         n = str(sys.getrecursionlimit() - _STACK_RESERVE + 1)
         unit = files("unit.01m", Matrix01.from_nested([[1]]))

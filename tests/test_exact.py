@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from math import prod
 
 import pytest
 from hypothesis import example, given
@@ -13,6 +14,7 @@ from satmat import (
     SearchBudget,
     Shape,
     avoids,
+    diagonals,
     exact_ex,
     exact_sat,
     exact_ssat,
@@ -21,6 +23,7 @@ from satmat import (
     is_semisaturating,
     verify_recurrence,
 )
+from satmat import exact
 from satmat.exact import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
@@ -219,6 +222,94 @@ class TestBudgets:
         assert exact_ex(at, unit, budget).value == 0
         assert exact_sat(at, I2, budget).value == ceiling
         assert exact_ssat(at, I2, budget).value == ceiling
+
+
+def block_caps(shape, p):
+    """Capacity of every diagonal, computed from the search's supports."""
+    meter = exact._Meter(SearchBudget())
+    supports = exact._support_tables(shape, p, meter)
+    return [
+        exact._block_capacity([shape.flat_index(c) for c in diag], supports, meter)
+        for diag in diagonals(shape)
+    ]
+
+
+class TestBlockCapacities:
+    @given(host_and_pattern(max_host_cells=12, nonzero=True))
+    # anti-diagonal: no copy fits on one diagonal, so every cap is the length
+    @example((Matrix01.zeros(Shape((3, 3))), Matrix01.from_nested([[0, 1], [1, 0]])))
+    # cannot fit anywhere
+    @example((Matrix01.zeros(Shape((2, 2))), I3))
+    # all-one patterns: any three cells of a line, or four cells off any diagonal
+    @example((Matrix01.zeros(Shape((12,))), Matrix01.from_nested([1, 1, 1])))
+    @example((Matrix01.zeros(Shape((3, 4))), Matrix01.filled(Shape((2, 2)))))
+    @example((Matrix01.zeros(Shape((12,))), Matrix01.from_nested([1, 0, 1, 1])))
+    @example((Matrix01.zeros(Shape((2, 2, 3))), identity_pattern(3, 2)))
+    def test_caps_match_brute_force(self, pair):
+        host, p = pair
+        shape = host.shape
+        caps = block_caps(shape, p)
+        for diag, cap in zip(diagonals(shape), caps):
+            assert cap == oracles.brute_block_cap(diag, shape, p), diag
+
+    @pytest.mark.parametrize(
+        "ext,k",
+        [((7,), 3), ((4, 4), 1), ((4, 4), 2), ((3, 5), 2), ((6, 6), 2), ((3, 3, 4), 1), ((4, 4, 4), 2)],
+    )
+    def test_identity_caps_sum_to_closed_form(self, ext, k):
+        # each diagonal holds at most k ones of a host avoiding I_{k+1}
+        shape = Shape(ext)
+        p = identity_pattern(shape.d, k + 1)
+        expected = shape.cell_count - prod(n - k for n in ext)
+        assert sum(block_caps(shape, p)) == expected
+
+
+class TestBlockBound:
+    @pytest.mark.parametrize(
+        "ext,size,value",
+        [((4, 4, 4), 2, 37), ((5, 5, 5), 2, 61), ((8, 8), 3, 28), ((6, 6), 3, 20)],
+    )
+    def test_identity_ex_within_node_budget(self, ext, size, value):
+        # without the diagonal block bound none of these finishes in 20,000 nodes
+        shape = Shape(ext)
+        p = identity_pattern(shape.d, size)
+        k = size - 1
+        assert value == shape.cell_count - prod(n - k for n in ext)
+        res = exact_ex(shape, p, SearchBudget(max_cells=shape.cell_count, node_limit=20_000))
+        assert res.value == value
+        assert res.witness.weight == value
+        assert avoids(res.witness, p)
+
+    def test_abort_bounds_for_ex(self):
+        # the three-cell column fits on no diagonal, so the caps are the lengths
+        col = Matrix01.filled(Shape((3, 1)))
+        shape = Shape((4, 4))
+        assert exact_ex(shape, col).value == 8
+        with pytest.raises(BudgetExceededError) as err:
+            exact_ex(shape, col, SearchBudget(node_limit=1000))
+        assert err.value.bounds == (8, 16)
+        # the first leaf is not reached yet
+        with pytest.raises(BudgetExceededError) as err:
+            exact_ex(shape, col, SearchBudget(node_limit=60))
+        assert err.value.bounds == (None, 16)
+
+    def test_abort_bounds_for_sat_and_ssat(self):
+        # two corners of the 5x5 host have no support and are forced in
+        shape = Shape((5, 5))
+        for fn in (exact_sat, exact_ssat):
+            value = fn(shape, I2, SearchBudget(max_cells=25)).value
+            with pytest.raises(BudgetExceededError) as err:
+                fn(shape, I2, SearchBudget(max_cells=25, node_limit=200))
+            lower, upper = err.value.bounds
+            assert lower == 2
+            assert upper is not None and value <= upper, fn.__name__
+
+    def test_no_bounds_before_the_search(self):
+        # the budget runs out while the support table is built
+        for fn in (exact_ex, exact_sat, exact_ssat):
+            with pytest.raises(BudgetExceededError) as err:
+                fn(Shape((4, 4)), I2, SearchBudget(node_limit=5))
+            assert err.value.bounds is None, fn.__name__
 
 
 class TestRecurrence:
