@@ -85,6 +85,10 @@ def property_i(p: Matrix01) -> CrossSectionSpec | None:
     of the whole pattern.  Vacuously passes in one dimension.
     """
     _require_nonzero(p)
+    # the one entry of a 1-cell pattern lies on every face and is alone in
+    # every cross section, so all 2^d - 2 faces pass without a walk
+    if p.shape.cell_count == 1:
+        return None
     d = p.shape.d
     counts = _hyperplane_counts(p)
     ones = list(p.iter_ones())

@@ -407,11 +407,6 @@ class Matrix01:
     def flip(self, coord: Coord) -> "Matrix01":
         return Matrix01(self.shape, self.bits ^ (1 << self.shape.flat_index(coord)))
 
-    def with_cell(self, coord: Coord, value: int) -> "Matrix01":
-        bit = 1 << self.shape.flat_index(coord)
-        bits = self.bits | bit if value else self.bits & ~bit
-        return Matrix01(self.shape, bits)
-
     def iter_ones(self) -> Iterator[Coord]:
         bits = self.bits
         while bits:

@@ -7,29 +7,31 @@ The search exploits two facts.  First, semisaturation is monotone upward:
 adding 1s never breaks it, because a flip that completed a copy before still
 does.  Second, for a nonzero fitting pattern, saturating is exactly avoiding
 plus semisaturating.  All three quantities therefore run one search over
-"supports": for every host cell z, the support sets are the minimal
-collections of other cells which, when all 1, make a flip of z complete a
-copy through z.  The minimal supports are the search's only table.  A host
-is semisaturating iff every 0-cell has a support fully inside the 1-set.
+"supports": the supports of a host cell z are the selection images of p
+through z, without z.  They are the search's only table.  A host is
+semisaturating iff every 0-cell has a support fully inside the 1-set.
 ``ssat`` minimises over such hosts, ``sat`` also requires avoidance, and
 ``ex`` maximises over the same hosts as ``sat``: a heaviest avoiding host is
 maximal, hence saturating (the all-one host when p cannot fit).  While the
 decided 1s avoid p, a 1 at t completes a copy iff a support of t is all 1.
 
-``ex`` prunes by a block bound.  The diagonals of the host partition it into
+The search minimises one cost: the 1s for ``sat`` and ``ssat``, the 0s for
+``ex`` (its value is the cell count minus the cost).  It cuts a subtree once
+a lower bound on its cost reaches the best leaf's.  For ``sat`` and ``ssat``
+the bound is the 1s plus the undecided cells with no live support left.  For
+``ex`` it is a block bound.  The diagonals of the host partition it into
 blocks, and a block's capacity is the largest subset of it with no copy of
 p lying wholly inside it (for the identity pattern I_{k+1} that is
-min(length, k)); an avoiding host holds at most the capacity in each block.
-The capacities come from the supports by a small maximising search per
-block: a copy inside a block through its last cell t holds a support of t
-inside the block.  With out_B the cells of block B decided 0, every
-completion weighs at most ``cc - sum_B max(out_B, len_B - cap_B)``, which
-starts at the sum of the capacities and drops by one exactly when a cell is
-left out of a block that has already left out its quota.
+min(length, k)); an avoiding host leaves out at least the quota, length
+minus capacity, of each block.  The capacities come from the supports by a
+small maximising search per block: a copy inside a block through its last
+cell t holds a support of t inside the block.  With out_B the cells of
+block B decided 0, every completion leaves out at least
+``sum_B max(out_B, quota_B)`` cells, and at a leaf that is the 0 count.
 
 Completed searches are deterministic and make one pass with no incumbent:
 cells are decided in row-major order, 0 before 1, every leaf is feasible,
-and only strictly better leaves are kept, so the first leaf at the optimum
+and only strictly cheaper leaves are kept, so the first leaf at the optimum
 is the lexicographically least witness (row-major cell string, 0 before 1).
 The bounds only cut subtrees that cannot beat the best leaf, so they never
 change the witness.  All of a search's work, the tables and capacities
@@ -48,7 +50,6 @@ from .constructions import (
     identity_pattern,
 )
 from .containment import iter_image_masks
-from .core import _STACK_RESERVE  # noqa: F401 - re-exported for sizing hosts
 from .core import Matrix01, Shape, _recursion_ceiling, diagonals
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
@@ -129,24 +130,15 @@ def _validate(shape: Shape, p: Matrix01) -> None:
         raise ValueError("pattern has no 1-entries")
 
 
-def _minimal_masks(masks: list[int]) -> list[int]:
-    """Drop duplicates and strict supersets, preserving first-seen order."""
-    uniq = list(dict.fromkeys(masks))
-    uniq.sort(key=lambda s: s.bit_count())
-    kept: list[int] = []
-    for s in uniq:
-        if not any(t & s == t for t in kept):
-            kept.append(s)
-    return kept
-
-
 def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]:
-    """Per-cell minimal supports.
+    """Per-cell supports.
 
-    supports[z] holds the minimal bitmasks S (not containing z) such that
-    S union {z} carries a copy of p using z as a 1.  Enumerated selections
-    count against the meter so budgets also bound the table construction,
-    not just the search proper.
+    supports[z] holds, once each in first-seen order, the bitmasks S (not
+    containing z) such that S union {z} is the image of a selection of p.
+    Selections are injective, so every S has ``p.weight - 1`` cells and none
+    is a strict superset of another: every support is minimal.  Enumerated
+    selections count against the meter so budgets also bound the table
+    construction, not just the search proper.
     """
     raw_supports: list[list[int]] = [[] for _ in range(shape.cell_count)]
     for e in iter_image_masks(shape, p):
@@ -156,7 +148,7 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]
             low = rem & -rem
             raw_supports[low.bit_length() - 1].append(e ^ low)
             rem ^= low
-    return [_minimal_masks(s) for s in raw_supports]
+    return [list(dict.fromkeys(s)) for s in raw_supports]
 
 
 def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) -> int:
@@ -211,20 +203,19 @@ def _search(
     require_avoid: bool,
     maximise: bool,
 ) -> SearchResult:
-    """Optimum-weight host covering every 0-cell (optionally also avoiding p).
+    """Least-cost host covering every 0-cell (optionally also avoiding p).
 
-    Cells are decided in row-major order, 0 before 1, so leaves arrive in
-    canonical order.  With no incumbent the bound starts outside every
-    weight; every leaf is feasible and only strictly better leaves are kept,
-    so the first leaf at the optimum is the canonical witness.  A pattern
-    that cannot fit has no supports, so every cell is forced in.
-
-    Minimising prunes when the 1s plus the undecided cells with no live
-    support cannot beat the best leaf.  Maximising carries the diagonal
-    block bound ``cc - sum_B max(out_B, quota_B)``: ``room[B]`` counts down
-    from the quota as cells of B are left out, and once it is negative each
-    further 0 in B lowers the bound by one; a 1 never changes it.  On a
-    budget abort the error carries the bounds proven so far.
+    The cost counts the 1s, or the 0s when ``maximise``.  The best cost
+    starts at ``cc + 1``, and a pattern that cannot fit has no supports, so
+    every cell is forced in.  A node is ``(t, in_mask, lb)``: the cells below
+    t are decided, and ``in_mask`` holds the 1s among them.  So a support is
+    live iff no cell of it is decided 0 (``out``), and the only state is
+    ``alive[z]``, the live supports of z.  Leaving t out kills those through
+    t; a cell whose last one dies is infeasible if out, forced in if not yet
+    decided.  ``lb`` bounds the cost of every leaf below: the 1s plus the
+    forced undecided cells, or the block bound when maximising, where
+    ``room[B]`` counts down from B's quota as cells of B are left out, and
+    each 0 in B past it adds one.  A budget abort carries the proven bounds.
     """
     _validate(shape, p)
     _check_cells(shape, budget, default_cells)
@@ -232,90 +223,77 @@ def _search(
     cc = shape.cell_count
     supports = _support_tables(shape, p, meter)
 
-    sup_owner: list[int] = []
-    occurs: list[list[int]] = [[] for _ in range(cc)]
+    # one (owner, support) pair per support, listed under each of its cells
+    occurs: list[list[tuple[int, int]]] = [[] for _ in range(cc)]
     for z in range(cc):
         for s in supports[z]:
-            sid = len(sup_owner)
-            sup_owner.append(z)
+            pair = (z, s)
             rem = s
             while rem:
                 low = rem & -rem
-                occurs[low.bit_length() - 1].append(sid)
+                occurs[low.bit_length() - 1].append(pair)
                 rem ^= low
 
     alive = [len(s) for s in supports]
-    dead = [0] * len(sup_owner)
-    decided = [0] * cc  # 0 undecided, 1 in, 2 out
     if maximise:
         block_of, room = _diagonal_blocks(shape, supports, meter)
-        root = cc - sum(room)
+        root = sum(room)
     else:
-        root = sum(1 for z in range(cc) if alive[z] == 0)
-    best = -1 if maximise else cc + 1
+        root = alive.count(0)
+    best = cc + 1
     best_bits = 0
 
-    # bound: the block bound when maximising, else the forced undecided cells
-    def dfs(t, in_mask, in_count, bound):
+    def dfs(t, in_mask, lb):
         nonlocal best, best_bits
         meter.tick()
-        if maximise:
-            if bound <= best:
-                return
-        elif in_count + bound >= best:
+        if lb >= best:
             return
         if t == cc:
-            best, best_bits = in_count, in_mask
+            best, best_bits = lb, in_mask
             return
         bit = 1 << t
         # leave t out first: lexicographically smaller
         if alive[t] > 0:
-            decided[t] = 2
+            out = ~in_mask & (bit - 1)
             bad = False
-            df = 0
-            for sid in occurs[t]:
-                dead[sid] += 1
-                if dead[sid] == 1:
-                    z = sup_owner[sid]
+            step = 0  # the forced undecided cells, or a 0 past B's quota
+            for z, s in occurs[t]:
+                if not s & out:
                     alive[z] -= 1
                     if alive[z] == 0:
-                        if decided[z] == 2:
+                        if z > t:
+                            step += 1
+                        elif not in_mask >> z & 1:
                             bad = True
-                        elif decided[z] == 0:
-                            df += 1
+            if maximise:
+                b = block_of[t]
+                room[b] -= 1
+                step = room[b] < 0
             if not bad:
-                if maximise:
-                    b = block_of[t]
-                    room[b] -= 1
-                    dfs(t + 1, in_mask, in_count, bound - (room[b] < 0))
-                    room[b] += 1
-                else:
-                    dfs(t + 1, in_mask, in_count, bound + df)
-            for sid in occurs[t]:
-                if dead[sid] == 1:
-                    alive[sup_owner[sid]] += 1
-                dead[sid] -= 1
-            decided[t] = 0
+                dfs(t + 1, in_mask, lb + step)
+            if maximise:
+                room[b] += 1
+            for z, s in occurs[t]:
+                if not s & out:
+                    alive[z] += 1
         # put t in; the decided 1s avoid p, so a new copy would use t and
-        # hold one of its minimal supports
+        # hold one of its supports
         if require_avoid:
             for s in supports[t]:
                 if not s & ~in_mask:
                     return
-        decided[t] = 1
-        if maximise:
-            dfs(t + 1, in_mask | bit, in_count + 1, bound)
-        else:
-            dfs(t + 1, in_mask | bit, in_count + 1, bound - (alive[t] == 0))
-        decided[t] = 0
+        dfs(t + 1, in_mask | bit, lb + (not maximise and alive[t] > 0))
 
     try:
-        dfs(0, 0, 0, root)
+        dfs(0, 0, root)
     except BudgetExceededError as err:
-        found = best if 0 <= best <= cc else None
-        err.bounds = (found, root) if maximise else (root, found)
+        if maximise:
+            err.bounds = (cc - best if best <= cc else None, cc - root)
+        else:
+            err.bounds = (root, best if best <= cc else None)
         raise
-    return SearchResult(best, Matrix01(shape, best_bits), meter.nodes)
+    value = cc - best if maximise else best
+    return SearchResult(value, Matrix01(shape, best_bits), meter.nodes)
 
 
 def exact_ssat(shape: Shape, p: Matrix01, budget: SearchBudget = SearchBudget()) -> SearchResult:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from satmat import classification
 from satmat import (
     Matrix01,
     Shape,
@@ -172,6 +173,16 @@ class TestClassify:
     def test_verdict_consistency(self):
         v = classify_ssat(I2)
         assert v.bounded == (v.property_i_holds and v.property_ii_holds)
+
+    def test_one_cell_pattern_walks_no_faces(self, monkeypatch):
+        # the 1-cell pattern of d dimensions has 2^d - 2 faces, all passing
+        def no_walk(*args):
+            raise AssertionError("faces walked")
+
+        monkeypatch.setattr(classification, "iter_faces", no_walk)
+        v = classify_ssat(Matrix01.filled(Shape((1,) * 40)))
+        assert v.bounded
+        assert v.witness_entry == (1,) * 40
 
     @given(pattern_2d())
     def test_reflection_invariance(self, p):

@@ -5,7 +5,7 @@ import pytest
 
 from satmat import Matrix01, Shape, format_01m, identity_pattern, parse_01m
 from satmat.cli import main
-from satmat.exact import _STACK_RESERVE
+from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 
@@ -203,6 +203,13 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["bounded"] is False
         assert payload["failing_face"] == {"fixed": [[1, 2]]}
+
+    def test_one_cell_pattern_of_many_dimensions(self, files, capsys):
+        # 2^1000 - 2 faces: answered without walking them
+        p = Matrix01.filled(Shape((1,) * 1000))
+        code, out, _ = run(capsys, ["classify", files("p.01m", p)])
+        assert code == 0
+        assert json.loads(out)["bounded"] is True
 
 
 class TestExact:

@@ -24,7 +24,7 @@ from satmat import (
     verify_recurrence,
 )
 from satmat import exact
-from satmat.exact import _STACK_RESERVE
+from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 I3 = identity_pattern(2, 3)
@@ -222,6 +222,30 @@ class TestBudgets:
         assert exact_ex(at, unit, budget).value == 0
         assert exact_sat(at, I2, budget).value == ceiling
         assert exact_ssat(at, I2, budget).value == ceiling
+
+
+class TestSupportTables:
+    @given(host_and_pattern(max_host_cells=12, nonzero=True))
+    @example((Matrix01.zeros(Shape((2, 2))), I3))  # cannot fit: no supports
+    @example((Matrix01.zeros(Shape((3, 4))), Matrix01.filled(Shape((2, 2)))))
+    @example((Matrix01.zeros(Shape((2, 2, 3))), identity_pattern(3, 2)))
+    def test_supports_are_images_without_the_cell(self, pair):
+        # selections are injective, so every support has weight - 1 cells and
+        # none can contain another: deduplication alone leaves them minimal
+        host, p = pair
+        shape = host.shape
+        images = [
+            sum(
+                1 << shape.flat_index(tuple(sels[i][q[i] - 1] for i in range(shape.d)))
+                for q in p.iter_ones()
+            )
+            for sels in oracles.all_selections(shape, p.shape)
+        ]
+        supports = exact._support_tables(shape, p, exact._Meter(SearchBudget()))
+        for z in range(shape.cell_count):
+            expected = [e ^ 1 << z for e in images if e >> z & 1]
+            assert supports[z] == list(dict.fromkeys(expected)), z
+            assert all(s.bit_count() == p.weight - 1 for s in supports[z])
 
 
 def block_caps(shape, p):
