@@ -29,6 +29,10 @@ cell t holds a support of t inside the block.  With out_B the cells of
 block B decided 0, every completion leaves out at least
 ``sum_B max(out_B, quota_B)`` cells, and at a leaf that is the 0 count.
 
+The state is bit-parallel (see ``_search``): an int with a bit per live
+support, which deciding a cell 0 updates by one AND with a precomputed row,
+the rows taking cells x supports bits.  Ints are immutable: nothing is undone.
+
 Completed searches are deterministic and make one pass with no incumbent:
 cells are decided in row-major order, 0 before 1, every leaf is feasible,
 and only strictly cheaper leaves are kept, so the first leaf at the optimum
@@ -104,9 +108,13 @@ class _Meter:
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise BudgetExceededError("node budget exceeded", self.nodes)
         # the first tick checks too, so an expired budget stops short searches
-        if self.deadline is not None and self.nodes % _TICK == 1:
-            if time.monotonic() >= self.deadline:
-                raise BudgetExceededError("time budget exceeded", self.nodes)
+        if self.nodes % _TICK == 1:
+            self.check_time()
+
+    def check_time(self):
+        """Abort if the time budget has run out; counts no node."""
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise BudgetExceededError("time budget exceeded", self.nodes)
 
 
 def _check_cells(shape: Shape, budget: SearchBudget, default_cells: int) -> None:
@@ -207,15 +215,20 @@ def _search(
 
     The cost counts the 1s, or the 0s when ``maximise``.  The best cost
     starts at ``cc + 1``, and a pattern that cannot fit has no supports, so
-    every cell is forced in.  A node is ``(t, in_mask, lb)``: the cells below
-    t are decided, and ``in_mask`` holds the 1s among them.  So a support is
-    live iff no cell of it is decided 0 (``out``), and the only state is
-    ``alive[z]``, the live supports of z.  Leaving t out kills those through
-    t; a cell whose last one dies is infeasible if out, forced in if not yet
-    decided.  ``lb`` bounds the cost of every leaf below: the 1s plus the
-    forced undecided cells, or the block bound when maximising, where
-    ``room[B]`` counts down from B's quota as cells of B are left out, and
-    each 0 in B past it adds one.  A budget abort carries the proven bounds.
+    every cell is forced in.  A node is ``(t, in_mask, live, lives, outg,
+    lb)``: the cells below t are decided and ``in_mask`` holds the 1s among
+    them.  ``live`` has a bit per live support, in one field per owner cell,
+    row-major from bit 0, each topped by a guard bit ``live`` never sets.
+    ``base`` holds each field's lowest bit, the guard itself for an owner
+    with no supports, so no borrow crosses a guard and ``lives = ((live |
+    guard) - base) & guard`` keeps the guards of the owners with a live
+    support.  ``outg`` holds the guards of the cells decided 0, all in
+    ``lives``.  Leaving t out keeps ``live & keep[t]``; a guard that dies is
+    a cell infeasible if in ``outg``, forced in if above t.  ``lb`` bounds
+    the cost of every leaf below: the 1s plus the forced undecided cells, or
+    the block bound when maximising, where ``room[B]`` counts down from B's
+    quota as cells of B are left out, and each 0 in B past it adds one
+    (``room`` alone is restored on return).  Aborts carry the proven bounds.
     """
     _validate(shape, p)
     _check_cells(shape, budget, default_cells)
@@ -223,27 +236,42 @@ def _search(
     cc = shape.cell_count
     supports = _support_tables(shape, p, meter)
 
-    # one (owner, support) pair per support, listed under each of its cells
-    occurs: list[list[tuple[int, int]]] = [[] for _ in range(cc)]
+    # lay out the fields; through[c] holds the bits of the supports through c
+    through: list[list[int]] = [[] for _ in range(cc)]
+    guard_of = []
+    width = 0
     for z in range(cc):
         for s in supports[z]:
-            pair = (z, s)
             rem = s
             while rem:
                 low = rem & -rem
-                occurs[low.bit_length() - 1].append(pair)
+                through[low.bit_length() - 1].append(width)
                 rem ^= low
+            width += 1
+        guard_of.append(1 << width)
+        width += 1
+    # ints come from digit or byte strings, in time linear in their width
+    guard = int(b"".join(b"1" + b"0" * len(sups) for sups in reversed(supports)), 2)
+    base = (guard << 1 | 1) ^ 1 << width  # a field starts above the guard below
+    keep = []
+    for cells in through:
+        meter.check_time()
+        row = bytearray(b"\xff") * (width + 7 >> 3)
+        for i in cells:
+            row[i >> 3] &= ~(1 << (i & 7))
+        keep.append(int.from_bytes(row, "little"))
+    live = ((1 << width) - 1) ^ guard
+    lives = ((live | guard) - base) & guard
 
-    alive = [len(s) for s in supports]
     if maximise:
         block_of, room = _diagonal_blocks(shape, supports, meter)
         root = sum(room)
     else:
-        root = alive.count(0)
+        root = cc - lives.bit_count()
     best = cc + 1
     best_bits = 0
 
-    def dfs(t, in_mask, lb):
+    def dfs(t, in_mask, live, lives, outg, lb):
         nonlocal best, best_bits
         meter.tick()
         if lb >= best:
@@ -251,41 +279,31 @@ def _search(
         if t == cc:
             best, best_bits = lb, in_mask
             return
-        bit = 1 << t
+        g = guard_of[t]
         # leave t out first: lexicographically smaller
-        if alive[t] > 0:
-            out = ~in_mask & (bit - 1)
-            bad = False
-            step = 0  # the forced undecided cells, or a 0 past B's quota
-            for z, s in occurs[t]:
-                if not s & out:
-                    alive[z] -= 1
-                    if alive[z] == 0:
-                        if z > t:
-                            step += 1
-                        elif not in_mask >> z & 1:
-                            bad = True
-            if maximise:
-                b = block_of[t]
-                room[b] -= 1
-                step = room[b] < 0
-            if not bad:
-                dfs(t + 1, in_mask, lb + step)
-            if maximise:
-                room[b] += 1
-            for z, s in occurs[t]:
-                if not s & out:
-                    alive[z] += 1
+        if lives & g:
+            kept = live & keep[t]
+            left = ((kept | guard) - base) & guard
+            if outg & left == outg:
+                if maximise:
+                    b = block_of[t]
+                    room[b] -= 1
+                    step = room[b] < 0  # a 0 past B's quota
+                else:  # the undecided cells whose last support died
+                    step = ((lives ^ left) >> g.bit_length()).bit_count()
+                dfs(t + 1, in_mask, kept, left, outg | g, lb + step)
+                if maximise:
+                    room[b] += 1
         # put t in; the decided 1s avoid p, so a new copy would use t and
         # hold one of its supports
         if require_avoid:
             for s in supports[t]:
                 if not s & ~in_mask:
                     return
-        dfs(t + 1, in_mask | bit, lb + (not maximise and alive[t] > 0))
+        dfs(t + 1, in_mask | 1 << t, live, lives, outg, lb + (not maximise and lives & g > 0))
 
     try:
-        dfs(0, 0, root)
+        dfs(0, 0, live, lives, 0, root)
     except BudgetExceededError as err:
         if maximise:
             err.bounds = (cc - best if best <= cc else None, cc - root)

@@ -206,6 +206,17 @@ class TestBudgets:
                 fn(Shape((28, 28)), I3, budget)
             assert time.monotonic() - start < 0.1, fn.__name__
 
+    def test_node_cap_just_past_the_tables_aborts_in_the_search(self):
+        # I2 on 20x20 has 36,100 images; building the per-cell rows of the
+        # search counts no node, so a cap just past the images is reached in
+        # the branch and bound, which proves bounds
+        limit = 36_100 + 400 + 100
+        with pytest.raises(BudgetExceededError, match="node") as err:
+            exact_sat(Shape((20, 20)), I2, SearchBudget(max_cells=400, node_limit=limit))
+        assert err.value.nodes == limit + 1
+        assert err.value.bounds is not None
+        assert err.value.bounds[0] == 2
+
     def test_recursion_ceiling(self):
         # the searches recurse once per host cell; a host the recursion
         # cannot reach is refused before any table is built
@@ -222,6 +233,34 @@ class TestBudgets:
         assert exact_ex(at, unit, budget).value == 0
         assert exact_sat(at, I2, budget).value == ceiling
         assert exact_ssat(at, I2, budget).value == ceiling
+
+
+class TestSearchTree:
+    # (value, nodes) at max_cells=30: a change that reshapes the search tree
+    # moves a node count even when every value and witness stays the same
+    @pytest.mark.parametrize(
+        "ext,pattern,pins",
+        [
+            ((5, 5), I2, {"ex": (9, 217), "sat": (9, 9684), "ssat": (4, 1306)}),
+            ((5, 5), I3, {"ex": (16, 222), "sat": (16, 31006), "ssat": (10, 4393)}),
+            (
+                (3, 3, 3),
+                identity_pattern(3, 2),
+                {"ex": (19, 131), "sat": (19, 2682), "ssat": (14, 405)},
+            ),
+            (
+                (4, 4),
+                Matrix01.filled(Shape((3, 1))),
+                {"ex": (8, 7623), "sat": (8, 3015), "ssat": (8, 3371)},
+            ),
+        ],
+        ids=["I2-5x5", "I3-5x5", "I2-3x3x3", "column-4x4"],
+    )
+    @pytest.mark.parametrize("quantity", ["ex", "sat", "ssat"])
+    def test_values_and_node_counts(self, ext, pattern, pins, quantity):
+        fn = {"ex": exact_ex, "sat": exact_sat, "ssat": exact_ssat}[quantity]
+        res = fn(Shape(ext), pattern, SearchBudget(max_cells=30))
+        assert (res.value, res.nodes) == pins[quantity]
 
 
 class TestSupportTables:

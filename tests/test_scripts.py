@@ -1,3 +1,4 @@
+import ast
 import runpy
 from pathlib import Path
 
@@ -11,3 +12,15 @@ def test_classify_universe_verify_smoke(capsys):
     out = capsys.readouterr().out
     assert "2D up to extent 2:" in out
     assert "unbounded growth spot checks: 3 ok" in out
+
+
+def test_exact_dump_small(capsys):
+    main = runpy.run_path(str(SCRIPTS / "exact_dump.py"))["main"]
+    assert main(["--small"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "('ex', (4, 4), ((2, 2), 9), None, 7, 63624, 105)"
+    calls = [ast.literal_eval(text) for text in lines]
+    assert {c[0] for c in calls} == {"ex", "sat", "ssat"}
+    # node-capped calls abort with their reason
+    capped = [c for c in calls if c[3] == 1]
+    assert capped and all(c[-1] == "node budget exceeded" for c in capped)
