@@ -20,8 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import itemgetter
 
+from .containment import ENUMERATION_LIMIT
 from .core import Coord, CrossSectionSpec, Matrix01, iter_faces
 
 
@@ -108,12 +110,20 @@ def lone_entry_condition(p: Matrix01, dprime: int) -> Coord | None:
     """First 1-entry alone in every dprime-dimensional cross section through it.
 
     Absence certifies that every semisaturating host needs weight growing
-    like n^(d - dprime).
+    like n^(d - dprime).  There is one cross-section count per set of
+    d - dprime pinned dimensions; more than ``ENUMERATION_LIMIT`` of them
+    raise ValueError before any is built.
     """
     _require_nonzero(p)
     d = p.shape.d
     if not 1 <= dprime < d:
         raise ValueError(f"dprime must be in [1, {d - 1}]")
+    sets = comb(d, d - dprime)
+    if sets > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"{sets} sets of pinned dimensions exceeds the enumeration cap "
+            f"{ENUMERATION_LIMIT}"
+        )
     return _first_lone_entry(p, d - dprime)
 
 

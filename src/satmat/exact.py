@@ -29,9 +29,11 @@ cell t holds a support of t inside the block.  With out_B the cells of
 block B decided 0, every completion leaves out at least
 ``sum_B max(out_B, quota_B)`` cells, and at a leaf that is the 0 count.
 
-The state is bit-parallel (see ``_search``): an int with a bit per live
-support, which deciding a cell 0 updates by one AND with a precomputed row,
-the rows taking cells x supports bits.  Ints are immutable: nothing is undone.
+The search's whole state is five immutable ints (see ``_search``): the next
+cell, the decided 1s, a bit per live support, a guard bit per cell not
+decided 1 with a live support, and the bound.  Deciding a cell 0 updates the
+supports by one AND with a precomputed row (cells x supports bits in all),
+and the ``ex`` bound reads the 1s on the cell's diagonal: nothing is undone.
 
 Completed searches are deterministic and make one pass with no incumbent:
 cells are decided in row-major order, 0 before 1, every leaf is feasible,
@@ -88,7 +90,6 @@ class SearchResult:
     value: int
     witness: Matrix01
     nodes: int
-    status: str = "ok"
 
 
 class _Meter:
@@ -188,19 +189,22 @@ def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) 
 
 def _diagonal_blocks(
     shape: Shape, supports: list[list[int]], meter: _Meter
-) -> tuple[list[int], list[int]]:
-    """Each cell's diagonal and each diagonal's quota of cells to leave out.
-
-    The quota is the diagonal's length minus its capacity.
+) -> tuple[list[int], list[int], int]:
+    """Per cell t, the cells of its diagonal before it (``before[t]``) and
+    its index on the diagonal minus the diagonal's quota, length minus
+    capacity (``slack[t]``); and the sum of the quotas.
     """
-    block_of = [0] * shape.cell_count
-    quota = []
-    for b, diagonal in enumerate(diagonals(shape)):
-        cells = [shape.flat_index(c) for c in diagonal]
-        for z in cells:
-            block_of[z] = b
-        quota.append(len(cells) - _block_capacity(cells, supports, meter))
-    return block_of, quota
+    before, slack = [0] * shape.cell_count, [0] * shape.cell_count
+    total = 0
+    for diagonal in diagonals(shape):
+        cells = [shape.flat_index(c) for c in diagonal]  # row-major order
+        quota = len(cells) - _block_capacity(cells, supports, meter)
+        total += quota
+        mask = 0
+        for i, z in enumerate(cells):
+            before[z], slack[z] = mask, i - quota
+            mask |= 1 << z
+    return before, slack, total
 
 
 def _search(
@@ -215,20 +219,19 @@ def _search(
 
     The cost counts the 1s, or the 0s when ``maximise``.  The best cost
     starts at ``cc + 1``, and a pattern that cannot fit has no supports, so
-    every cell is forced in.  A node is ``(t, in_mask, live, lives, outg,
-    lb)``: the cells below t are decided and ``in_mask`` holds the 1s among
-    them.  ``live`` has a bit per live support, in one field per owner cell,
+    every cell is forced in.  A node is five ints ``(t, in_mask, live,
+    lives, lb)``: the cells below t are decided, ``in_mask`` holds their 1s.
+    ``live`` has a bit per live support, in one field per owner cell,
     row-major from bit 0, each topped by a guard bit ``live`` never sets.
     ``base`` holds each field's lowest bit, the guard itself for an owner
-    with no supports, so no borrow crosses a guard and ``lives = ((live |
-    guard) - base) & guard`` keeps the guards of the owners with a live
-    support.  ``outg`` holds the guards of the cells decided 0, all in
-    ``lives``.  Leaving t out keeps ``live & keep[t]``; a guard that dies is
-    a cell infeasible if in ``outg``, forced in if above t.  ``lb`` bounds
-    the cost of every leaf below: the 1s plus the forced undecided cells, or
-    the block bound when maximising, where ``room[B]`` counts down from B's
-    quota as cells of B are left out, and each 0 in B past it adds one
-    (``room`` alone is restored on return).  Aborts carry the proven bounds.
+    with no supports, so no borrow crosses a guard and ``(live | guard) -
+    base`` keeps the guards of the owners with a live support; ``lives``
+    holds those of the cells not decided 1.  Leaving t out keeps ``live &
+    keep[t]``; a guard lost then is a cell decided 0 with no support left if
+    below t (the node is cut), a forced cell if above.  ``lb`` bounds every
+    leaf's cost below: the 1s plus the forced undecided cells, or the block
+    bound.  No call changes its arguments or a table: nothing is undone.
+    Aborts carry the proven bounds.
     """
     _validate(shape, p)
     _check_cells(shape, budget, default_cells)
@@ -236,42 +239,36 @@ def _search(
     cc = shape.cell_count
     supports = _support_tables(shape, p, meter)
 
-    # lay out the fields; through[c] holds the bits of the supports through c
-    through: list[list[int]] = [[] for _ in range(cc)]
+    # keep[c] clears the supports holding c; ints from strings take linear time
+    width = cc + sum(map(len, supports))
+    keep: list = [bytearray(b"\xff") * (width + 7 >> 3) for _ in range(cc)]
     guard_of = []
-    width = 0
-    for z in range(cc):
-        for s in supports[z]:
-            rem = s
-            while rem:
-                low = rem & -rem
-                through[low.bit_length() - 1].append(width)
-                rem ^= low
-            width += 1
-        guard_of.append(1 << width)
-        width += 1
-    # ints come from digit or byte strings, in time linear in their width
+    i = 0
+    for sups in supports:
+        for s in sups:
+            while s:
+                low = s & -s
+                keep[low.bit_length() - 1][i >> 3] &= ~(1 << (i & 7))
+                s ^= low
+            i += 1
+        guard_of.append(1 << i)
+        i += 1
+    for z in range(cc):  # each row becomes an int and drops its bytes at once
+        meter.check_time()
+        keep[z] = int.from_bytes(keep[z], "little")
     guard = int(b"".join(b"1" + b"0" * len(sups) for sups in reversed(supports)), 2)
     base = (guard << 1 | 1) ^ 1 << width  # a field starts above the guard below
-    keep = []
-    for cells in through:
-        meter.check_time()
-        row = bytearray(b"\xff") * (width + 7 >> 3)
-        for i in cells:
-            row[i >> 3] &= ~(1 << (i & 7))
-        keep.append(int.from_bytes(row, "little"))
     live = ((1 << width) - 1) ^ guard
     lives = ((live | guard) - base) & guard
 
     if maximise:
-        block_of, room = _diagonal_blocks(shape, supports, meter)
-        root = sum(room)
+        before, slack, root = _diagonal_blocks(shape, supports, meter)
     else:
         root = cc - lives.bit_count()
     best = cc + 1
     best_bits = 0
 
-    def dfs(t, in_mask, live, lives, outg, lb):
+    def dfs(t, in_mask, live, lives, lb):
         nonlocal best, best_bits
         meter.tick()
         if lb >= best:
@@ -280,30 +277,33 @@ def _search(
             best, best_bits = lb, in_mask
             return
         g = guard_of[t]
+        free = lives & g > 0  # t has a live support, so it may be 0
         # leave t out first: lexicographically smaller
-        if lives & g:
+        if free:
             kept = live & keep[t]
-            left = ((kept | guard) - base) & guard
-            if outg & left == outg:
-                if maximise:
-                    b = block_of[t]
-                    room[b] -= 1
-                    step = room[b] < 0  # a 0 past B's quota
+            left = lives & ((kept | guard) - base)
+            dead = lives ^ left
+            if not dead & g - 1:  # every cell decided 0 keeps a support
+                if maximise:  # a 0 past the quota: <= slack[t] 1s before t
+                    step = (before[t] & in_mask).bit_count() <= slack[t]
                 else:  # the undecided cells whose last support died
-                    step = ((lives ^ left) >> g.bit_length()).bit_count()
-                dfs(t + 1, in_mask, kept, left, outg | g, lb + step)
-                if maximise:
-                    room[b] += 1
+                    step = (dead >> g.bit_length()).bit_count()
+                dead = None  # a frame keeps no wide int but its live and lives
+                dfs(t + 1, in_mask, kept, left, lb + step)
+            kept = left = dead = None
         # put t in; the decided 1s avoid p, so a new copy would use t and
         # hold one of its supports
         if require_avoid:
             for s in supports[t]:
                 if not s & ~in_mask:
                     return
-        dfs(t + 1, in_mask | 1 << t, live, lives, outg, lb + (not maximise and lives & g > 0))
+        if free:
+            dfs(t + 1, in_mask | 1 << t, live, lives ^ g, lb + (not maximise))
+        else:  # forced: lb already counts it
+            dfs(t + 1, in_mask | 1 << t, live, lives, lb)
 
     try:
-        dfs(0, 0, live, lives, 0, root)
+        dfs(0, 0, live, lives, root)
     except BudgetExceededError as err:
         if maximise:
             err.bounds = (cc - best if best <= cc else None, cc - root)

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -127,6 +128,17 @@ class TestLoneEntryCondition:
             lone_entry_condition(I2, 2)
         with pytest.raises(ValueError):
             lone_entry_condition(I2, 0)
+
+    def test_pinned_set_cap(self):
+        # C(40, 20) ~ 1.4e11 sets of pinned dimensions: refused before any
+        # cross-section count is built
+        p = Matrix01.filled(Shape((1,) * 40))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="enumeration cap"):
+            lone_entry_condition(p, 20)
+        assert time.monotonic() - start < 0.1
+        # C(16, 8) = 12,870 sets stay under the cap
+        assert lone_entry_condition(Matrix01.filled(Shape((1,) * 16)), 8) == (1,) * 16
 
     def test_same_entry_as_property_ii_over_both_universes(self):
         # every nonzero 2-D pattern up to 3x3 and 3-D pattern up to 2x2x2

@@ -253,8 +253,37 @@ class TestSearchTree:
                 Matrix01.filled(Shape((3, 1))),
                 {"ex": (8, 7623), "sat": (8, 3015), "ssat": (8, 3371)},
             ),
+            # one diagonal is the whole host
+            (
+                (10,),
+                Matrix01.from_nested([1, 0, 1]),
+                {"ex": (2, 236), "sat": (2, 181), "ssat": (2, 216)},
+            ),
+            # cannot fit: every put-in is forced and no cell has a live support
+            ((2, 2), I3, {"ex": (4, 16), "sat": (4, 5), "ssat": (4, 5)}),
+            # the zero row gives selections with the same image
+            (
+                (3, 4),
+                Matrix01.from_nested([[1], [0]]),
+                {"ex": (4, 47), "sat": (4, 25), "ssat": (4, 33)},
+            ),
+            # no copy on any diagonal: every quota is 0
+            (
+                (4, 4),
+                Matrix01.from_nested([[0, 1], [1, 0]]),
+                {"ex": (7, 456), "sat": (7, 381), "ssat": (4, 170)},
+            ),
         ],
-        ids=["I2-5x5", "I3-5x5", "I2-3x3x3", "column-4x4"],
+        ids=[
+            "I2-5x5",
+            "I3-5x5",
+            "I2-3x3x3",
+            "column-4x4",
+            "gap-10",
+            "I3-2x2",
+            "zero-row-3x4",
+            "anti-identity-4x4",
+        ],
     )
     @pytest.mark.parametrize("quantity", ["ex", "sat", "ssat"])
     def test_values_and_node_counts(self, ext, pattern, pins, quantity):
