@@ -14,8 +14,10 @@ node count and abort bound leaves the dump byte-identical:
     PYTHONPATH=../parent/src python3 scripts/exact_dump.py > old.txt
     cmp old.txt new.txt
 
-Only the standard library and satmat are used.  --small runs a subset in
-under a second.
+--no-nodes prints only the searches run without a node cap, each as (call,
+value, witness bits): a change that reshapes the search tree but keeps
+every value and witness leaves that dump byte-identical.  Only the standard
+library and satmat are used.  --small runs a subset in under a second.
 """
 
 import argparse
@@ -85,7 +87,7 @@ def random_instances(count):
     return out
 
 
-def line(quantity, ext, p, max_cells, node_limit=None):
+def line(quantity, ext, p, max_cells, node_limit=None, nodes=True):
     shape = Shape(ext)
     call = (quantity, ext, (p.shape.extents, p.bits), node_limit)
     budget = SearchBudget(max_cells=max_cells, node_limit=node_limit)
@@ -93,20 +95,22 @@ def line(quantity, ext, p, max_cells, node_limit=None):
         r = SEARCHES[quantity](shape, p, budget)
     except BudgetExceededError as err:
         return repr(call + (err.nodes, err.bounds, str(err)))
-    return repr(call + (r.value, r.witness.bits, r.nodes))
+    return repr(call + (r.value, r.witness.bits) + ((r.nodes,) if nodes else ()))
 
 
-def dump(small):
+def dump(small, nodes=True):
     instances = named(small)
     for ext, p in instances:
         for q in SEARCHES:
-            yield line(q, ext, p, prod(ext))
+            yield line(q, ext, p, prod(ext), nodes=nodes)
     for p in c07_patterns(small):
         for n in (2, 3, 4):
-            yield line("ssat", (n, n), p, 16)
+            yield line("ssat", (n, n), p, 16, nodes=nodes)
     for ext, p in random_instances(40 if small else 1200):
         for q in SEARCHES:
-            yield line(q, ext, p, prod(ext))
+            yield line(q, ext, p, prod(ext), nodes=nodes)
+    if not nodes:
+        return
     for ext, p in instances:
         for limit in NODE_LIMITS:
             for q in SEARCHES:
@@ -116,8 +120,13 @@ def dump(small):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--small", action="store_true", help="a sub-second subset")
+    ap.add_argument(
+        "--no-nodes",
+        action="store_true",
+        help="only the searches without a node cap, without node counts",
+    )
     args = ap.parse_args(argv)
-    for text in dump(args.small):
+    for text in dump(args.small, nodes=not args.no_nodes):
         print(text)
     return 0
 

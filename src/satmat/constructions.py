@@ -25,8 +25,7 @@ from .core import (
     Shape,
     _box_mask,
     _check_cell_limit,
-    diagonal_through,
-    diagonal_tops,
+    diagonals,
     is_complete_staircase,
     is_staircase,
 )
@@ -81,9 +80,9 @@ def _bottommost_ones(m: Matrix01, bits: int) -> tuple[frozenset[Coord], bool]:
     picked = []
     all_hit = True
     shape = m.shape
-    for top in diagonal_tops(shape):
+    for diagonal in diagonals(shape):
         last = None
-        for c in diagonal_through(shape, top):
+        for c in diagonal:
             if (bits >> shape.flat_index(c)) & 1:
                 last = c
         if last is None:

@@ -172,16 +172,12 @@ def diagonal_through(shape: Shape, coord: Coord) -> list[Coord]:
     return [tuple(x + t for x in top) for t in range(steps + 1)]
 
 
-def diagonal_tops(shape: Shape) -> Iterator[Coord]:
-    """Top (minimal-x_1) entries of all diagonals, in row-major order."""
-    for c in shape.cells():
-        if min(c) == 1:
-            yield c
-
-
 def diagonals(shape: Shape) -> list[list[Coord]]:
-    """All diagonals; every cell appears in exactly one of them."""
-    return [diagonal_through(shape, top) for top in diagonal_tops(shape)]
+    """All diagonals, in row-major order of their top (minimal-x_1) entries.
+
+    Every cell appears in exactly one of them.
+    """
+    return [diagonal_through(shape, top) for top in shape.cells() if min(top) == 1]
 
 
 def shell(shape: Shape) -> frozenset[Coord]:

@@ -29,11 +29,11 @@ cell t holds a support of t inside the block.  With out_B the cells of
 block B decided 0, every completion leaves out at least
 ``sum_B max(out_B, quota_B)`` cells, and at a leaf that is the 0 count.
 
-The search's whole state is five immutable ints (see ``_search``): the next
-cell, the decided 1s, a bit per live support, a guard bit per cell not
-decided 1 with a live support, and the bound.  Deciding a cell 0 updates the
-supports by one AND with a precomputed row (cells x supports bits in all),
-and the ``ex`` bound reads the 1s on the cell's diagonal: nothing is undone.
+The search's whole state is four immutable ints (see ``_search``): the next
+cell, a bit per live support, a guard bit per cell not decided 1 with a live
+support, and the bound.  Leaving a cell out and testing a put-in for a copy
+are each one AND with a precomputed row (cells x supports bits in all), and
+the ``ex`` bound and the witness read the guards: nothing is undone.
 
 Completed searches are deterministic and make one pass with no incumbent:
 cells are decided in row-major order, 0 before 1, every leaf is feasible,
@@ -55,7 +55,7 @@ from .constructions import (
     has_corner_only_shell,
     identity_pattern,
 )
-from .containment import iter_image_masks
+from .containment import ENUMERATION_LIMIT, embeddings_count, iter_image_masks
 from .core import Matrix01, Shape, _recursion_ceiling, diagonals
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
@@ -170,7 +170,7 @@ def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) 
     length = len(cells)
     best = 0
 
-    def grow(i, in_mask, count):
+    def grow(i, chosen, count):
         nonlocal best
         meter.tick()
         if count + (length - i) <= best:
@@ -179,32 +179,32 @@ def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) 
             best = count
             return
         t = cells[i]
-        if all(s & ~in_mask for s in supports[t]):
-            grow(i + 1, in_mask | 1 << t, count + 1)
-        grow(i + 1, in_mask, count)
+        if all(s & ~chosen for s in supports[t]):
+            grow(i + 1, chosen | 1 << t, count + 1)
+        grow(i + 1, chosen, count)
 
     grow(0, 0, 0)
     return best
 
 
 def _diagonal_blocks(
-    shape: Shape, supports: list[list[int]], meter: _Meter
+    shape: Shape, supports: list[list[int]], guard_of: list[int], meter: _Meter
 ) -> tuple[list[int], list[int], int]:
-    """Per cell t, the cells of its diagonal before it (``before[t]``) and
-    its index on the diagonal minus the diagonal's quota, length minus
-    capacity (``slack[t]``); and the sum of the quotas.
+    """Per cell t, the guards of the cells of its diagonal before it
+    (``before[t]``) and the diagonal's quota, length minus capacity
+    (``quota[t]``); and the sum of the quotas.
     """
-    before, slack = [0] * shape.cell_count, [0] * shape.cell_count
+    before, quota = [0] * shape.cell_count, [0] * shape.cell_count
     total = 0
     for diagonal in diagonals(shape):
         cells = [shape.flat_index(c) for c in diagonal]  # row-major order
-        quota = len(cells) - _block_capacity(cells, supports, meter)
-        total += quota
+        q = len(cells) - _block_capacity(cells, supports, meter)
+        total += q
         mask = 0
-        for i, z in enumerate(cells):
-            before[z], slack[z] = mask, i - quota
-            mask |= 1 << z
-    return before, slack, total
+        for z in cells:
+            before[z], quota[z] = mask, q
+            mask |= guard_of[z]
+    return before, quota, total
 
 
 def _search(
@@ -219,38 +219,53 @@ def _search(
 
     The cost counts the 1s, or the 0s when ``maximise``.  The best cost
     starts at ``cc + 1``, and a pattern that cannot fit has no supports, so
-    every cell is forced in.  A node is five ints ``(t, in_mask, live,
-    lives, lb)``: the cells below t are decided, ``in_mask`` holds their 1s.
-    ``live`` has a bit per live support, in one field per owner cell,
-    row-major from bit 0, each topped by a guard bit ``live`` never sets.
-    ``base`` holds each field's lowest bit, the guard itself for an owner
-    with no supports, so no borrow crosses a guard and ``(live | guard) -
-    base`` keeps the guards of the owners with a live support; ``lives``
-    holds those of the cells not decided 1.  Leaving t out keeps ``live &
-    keep[t]``; a guard lost then is a cell decided 0 with no support left if
-    below t (the node is cut), a forced cell if above.  ``lb`` bounds every
+    every cell is forced in.  A node is four ints ``(t, live, lives, lb)``:
+    the cells below t are decided.  ``live`` has a bit per live support (no
+    cell decided 0), in one field per owner cell, row-major from bit 0, each
+    topped by a guard bit ``live`` never sets.  ``base`` holds each field's
+    lowest bit, the guard itself for an owner with no supports, so no borrow
+    crosses a guard and ``(live | guard) - base`` keeps the guards of the
+    owners with a live support; ``lives`` holds those of the cells not
+    decided 1.  Leaving t out keeps ``live & keep[t]``; a guard lost then is
+    a cell decided 0 with no support left if below t (the node is cut), a
+    forced cell if above, so below t a guard is in ``lives`` iff its cell is
+    0.  While the 1s avoid p, putting t in completes a copy iff ``live &
+    closed[t]``, a live support of t wholly below t.  ``lb`` bounds every
     leaf's cost below: the 1s plus the forced undecided cells, or the block
-    bound.  No call changes its arguments or a table: nothing is undone.
-    Aborts carry the proven bounds.
+    bound.  No call changes its arguments or a table: nothing is undone.  A
+    support table that could exceed ``ENUMERATION_LIMIT`` supports is
+    refused before it is built.  Aborts in the search carry the proven
+    bounds.
     """
     _validate(shape, p)
     _check_cells(shape, budget, default_cells)
+    # at most weight supports per selection: this bounds the rows' width
+    most = embeddings_count(shape, p) * p.weight
+    if most > ENUMERATION_LIMIT:
+        raise BudgetExceededError(
+            f"up to {most} supports exceeds the enumeration cap {ENUMERATION_LIMIT}"
+        )
     meter = _Meter(budget)
     cc = shape.cell_count
     supports = _support_tables(shape, p, meter)
 
-    # keep[c] clears the supports holding c; ints from strings take linear time
+    # keep[c] clears the supports holding c, closed[z] holds those of z lying
+    # wholly below z; ints from strings take linear time
     width = cc + sum(map(len, supports))
     keep: list = [bytearray(b"\xff") * (width + 7 >> 3) for _ in range(cc)]
-    guard_of = []
+    guard_of, closed = [], []
     i = 0
-    for sups in supports:
+    for z, sups in enumerate(supports):
+        start, local = i, 0
         for s in sups:
+            if s.bit_length() <= z:
+                local |= 1 << i - start
             while s:
                 low = s & -s
                 keep[low.bit_length() - 1][i >> 3] &= ~(1 << (i & 7))
                 s ^= low
             i += 1
+        closed.append(local << start)
         guard_of.append(1 << i)
         i += 1
     for z in range(cc):  # each row becomes an int and drops its bytes at once
@@ -262,19 +277,20 @@ def _search(
     lives = ((live | guard) - base) & guard
 
     if maximise:
-        before, slack, root = _diagonal_blocks(shape, supports, meter)
+        before, quota, root = _diagonal_blocks(shape, supports, guard_of, meter)
     else:
         root = cc - lives.bit_count()
+    del supports
     best = cc + 1
-    best_bits = 0
+    best_lives = 0
 
-    def dfs(t, in_mask, live, lives, lb):
-        nonlocal best, best_bits
+    def dfs(t, live, lives, lb):
+        nonlocal best, best_lives
         meter.tick()
         if lb >= best:
             return
         if t == cc:
-            best, best_bits = lb, in_mask
+            best, best_lives = lb, lives
             return
         g = guard_of[t]
         free = lives & g > 0  # t has a live support, so it may be 0
@@ -284,26 +300,24 @@ def _search(
             left = lives & ((kept | guard) - base)
             dead = lives ^ left
             if not dead & g - 1:  # every cell decided 0 keeps a support
-                if maximise:  # a 0 past the quota: <= slack[t] 1s before t
-                    step = (before[t] & in_mask).bit_count() <= slack[t]
+                if maximise:  # a 0 past the quota: its 0s before t reach it
+                    step = (before[t] & lives).bit_count() >= quota[t]
                 else:  # the undecided cells whose last support died
                     step = (dead >> g.bit_length()).bit_count()
                 dead = None  # a frame keeps no wide int but its live and lives
-                dfs(t + 1, in_mask, kept, left, lb + step)
+                dfs(t + 1, kept, left, lb + step)
             kept = left = dead = None
         # put t in; the decided 1s avoid p, so a new copy would use t and
-        # hold one of its supports
-        if require_avoid:
-            for s in supports[t]:
-                if not s & ~in_mask:
-                    return
+        # hold a live support of t lying wholly below t
+        if require_avoid and live & closed[t]:
+            return
         if free:
-            dfs(t + 1, in_mask | 1 << t, live, lives ^ g, lb + (not maximise))
+            dfs(t + 1, live, lives ^ g, lb + (not maximise))
         else:  # forced: lb already counts it
-            dfs(t + 1, in_mask | 1 << t, live, lives, lb)
+            dfs(t + 1, live, lives, lb)
 
     try:
-        dfs(0, 0, live, lives, root)
+        dfs(0, live, lives, root)
     except BudgetExceededError as err:
         if maximise:
             err.bounds = (cc - best if best <= cc else None, cc - root)
@@ -311,7 +325,8 @@ def _search(
             err.bounds = (root, best if best <= cc else None)
         raise
     value = cc - best if maximise else best
-    return SearchResult(value, Matrix01(shape, best_bits), meter.nodes)
+    bits = sum(1 << z for z, g in enumerate(guard_of) if not best_lives & g)
+    return SearchResult(value, Matrix01(shape, bits), meter.nodes)
 
 
 def exact_ssat(shape: Shape, p: Matrix01, budget: SearchBudget = SearchBudget()) -> SearchResult:

@@ -263,6 +263,18 @@ class TestExact:
         assert payload["value"] is None and payload["bounds"] is None
         assert payload["nodes"] == 1
 
+    def test_support_cap(self, files, capsys):
+        pat = files("p.01m", identity_pattern(2, 3))
+        code, out, _ = run(
+            capsys,
+            ["exact", "sat", "--shape", "28", "28", "--pattern", pat, "--budget-cells", "784"],
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "budget_exceeded"
+        assert payload["bounds"] is None
+        assert "enumeration cap" in payload["reason"]
+
     def test_recursion_ceiling(self, files, capsys):
         n = str(sys.getrecursionlimit() - _STACK_RESERVE + 1)
         unit = files("unit.01m", Matrix01.from_nested([[1]]))

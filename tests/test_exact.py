@@ -217,6 +217,26 @@ class TestBudgets:
         assert err.value.bounds is not None
         assert err.value.bounds[0] == 2
 
+    def test_support_cap(self):
+        # I3 on 28x28 has 10.7M selections of 3 cells each: the support
+        # table is refused before it is built
+        budget = SearchBudget(max_cells=784)
+        for fn in (exact_ex, exact_sat, exact_ssat):
+            start = time.monotonic()
+            with pytest.raises(BudgetExceededError, match="enumeration cap") as err:
+                fn(Shape((28, 28)), I3, budget)
+            assert time.monotonic() - start < 0.1, fn.__name__
+            assert err.value.nodes == 0 and err.value.bounds is None
+        # I2 has 285,768 supports there, under the cap: the search starts,
+        # and its table building runs under the time budget
+        budget = SearchBudget(max_cells=784, node_limit=1)
+        with pytest.raises(BudgetExceededError, match="node budget exceeded"):
+            exact_sat(Shape((28, 28)), I2, budget)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="time budget exceeded"):
+            exact_sat(Shape((28, 28)), I2, SearchBudget(max_cells=784, time_limit=0.01))
+        assert time.monotonic() - start < 0.1
+
     def test_recursion_ceiling(self):
         # the searches recurse once per host cell; a host the recursion
         # cannot reach is refused before any table is built
@@ -273,6 +293,12 @@ class TestSearchTree:
                 Matrix01.from_nested([[0, 1], [1, 0]]),
                 {"ex": (7, 456), "sat": (7, 381), "ssat": (4, 170)},
             ),
+            # every support is empty, so every put-in completes a copy
+            (
+                (3, 3),
+                Matrix01.from_nested([[1]]),
+                {"ex": (0, 33), "sat": (0, 19), "ssat": (0, 28)},
+            ),
         ],
         ids=[
             "I2-5x5",
@@ -283,6 +309,7 @@ class TestSearchTree:
             "I3-2x2",
             "zero-row-3x4",
             "anti-identity-4x4",
+            "unit-3x3",
         ],
     )
     @pytest.mark.parametrize("quantity", ["ex", "sat", "ssat"])

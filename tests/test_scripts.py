@@ -24,3 +24,16 @@ def test_exact_dump_small(capsys):
     # node-capped calls abort with their reason
     capped = [c for c in calls if c[3] == 1]
     assert capped and all(c[-1] == "node budget exceeded" for c in capped)
+
+
+def test_exact_dump_small_without_nodes(capsys):
+    main = runpy.run_path(str(SCRIPTS / "exact_dump.py"))["main"]
+    assert main(["--small"]) == 0
+    full = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
+    assert main(["--small", "--no-nodes"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "('ex', (4, 4), ((2, 2), 9), None, 7, 63624)"
+    # the uncapped calls, each without its node count
+    assert [ast.literal_eval(text) for text in lines] == [
+        c[:-1] for c in full if c[3] is None
+    ]
