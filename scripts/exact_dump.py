@@ -4,11 +4,12 @@
 Each line is the repr of one tuple: the call (quantity, host extents,
 (pattern extents, pattern bits), node limit), then the answer (value,
 witness bits, nodes) or, on a budget abort, (nodes, bounds, reason).  The
-calls are the named identity instances and the 3x1 all-one column, ssat
-over the unbounded 2-D patterns up to 3x3 (C07) at n in {2, 3, 4}, seeded
-random instances (d in {1, 2, 3}, at most 14 host cells), and node-capped
-aborts of the named instances.  A change that keeps every value, witness,
-node count and abort bound leaves the dump byte-identical:
+calls are the named identity instances and the 3x1 all-one column on 4x4
+and 5x5, ssat over the unbounded 2-D patterns up to 3x3 (C07) at n in
+{2, 3, 4}, seeded random instances (d in {1, 2, 3}, at most 14 host
+cells), and node-capped aborts of the named instances.  A change that
+keeps every value, witness, node count and abort bound leaves the dump
+byte-identical:
 
     PYTHONPATH=src python3 scripts/exact_dump.py > new.txt
     PYTHONPATH=../parent/src python3 scripts/exact_dump.py > old.txt
@@ -52,6 +53,7 @@ def named(small):
         ((3, 3, 3), identity_pattern(3, 2)),
         ((3, 3, 4), identity_pattern(3, 2)),
         ((4, 4), col),
+        ((5, 5), col),
     ]
     return [instances[0], instances[4]] if small else instances
 

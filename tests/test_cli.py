@@ -238,12 +238,12 @@ class TestExact:
 
     def test_budget_exceeded_reports_bounds(self, files, capsys):
         pat = files("p.01m", I2)
-        # I2 on 7x7 has two forced corners and sat 13; the search takes
+        # I2 on 10x10 has two forced corners and sat 19; the search takes
         # seconds, so the time budget runs out in the branch and bound
         code, out, _ = run(
             capsys,
-            ["exact", "sat", "--shape", "7", "7", "--pattern", pat,
-             "--budget-cells", "49", "--budget-seconds", "0.3"],
+            ["exact", "sat", "--shape", "10", "10", "--pattern", pat,
+             "--budget-cells", "100", "--budget-seconds", "0.3"],
         )
         assert code == 3
         payload = json.loads(out)
@@ -252,7 +252,7 @@ class TestExact:
         assert payload["value"] is None
         bounds = payload["bounds"]
         assert bounds["lower"] == 2
-        assert bounds["upper"] is None or bounds["upper"] >= 13
+        assert bounds["upper"] is None or bounds["upper"] >= 19
         # an expired budget stops on the first node, before any bound exists
         code, out, _ = run(
             capsys,

@@ -4,7 +4,7 @@ import time
 from math import prod
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 
 import oracles
 from conftest import host_and_pattern
@@ -261,17 +261,17 @@ class TestSearchTree:
     @pytest.mark.parametrize(
         "ext,pattern,pins",
         [
-            ((5, 5), I2, {"ex": (9, 217), "sat": (9, 9684), "ssat": (4, 1306)}),
-            ((5, 5), I3, {"ex": (16, 222), "sat": (16, 31006), "ssat": (10, 4393)}),
+            ((5, 5), I2, {"ex": (9, 217), "sat": (9, 3760), "ssat": (4, 1306)}),
+            ((5, 5), I3, {"ex": (16, 222), "sat": (16, 8832), "ssat": (10, 4393)}),
             (
                 (3, 3, 3),
                 identity_pattern(3, 2),
-                {"ex": (19, 131), "sat": (19, 2682), "ssat": (14, 405)},
+                {"ex": (19, 131), "sat": (19, 2271), "ssat": (14, 405)},
             ),
             (
                 (4, 4),
                 Matrix01.filled(Shape((3, 1))),
-                {"ex": (8, 7623), "sat": (8, 3015), "ssat": (8, 3371)},
+                {"ex": (8, 3801), "sat": (8, 2529), "ssat": (8, 3371)},
             ),
             # one diagonal is the whole host
             (
@@ -317,6 +317,78 @@ class TestSearchTree:
         fn = {"ex": exact_ex, "sat": exact_sat, "ssat": exact_ssat}[quantity]
         res = fn(Shape(ext), pattern, SearchBudget(max_cells=30))
         assert (res.value, res.nodes) == pins[quantity]
+
+
+class TestFrontierTable:
+    # (value, nodes) of searches the frontier table brings within reach
+    @pytest.mark.parametrize(
+        "ext,pattern,quantity,pin",
+        [
+            ((8, 8), I2, "sat", (15, 73110)),
+            ((5, 5), Matrix01.filled(Shape((3, 1))), "ex", (10, 18529)),
+            ((5, 5), Matrix01.filled(Shape((3, 1))), "sat", (10, 13257)),
+            ((4, 4, 4), identity_pattern(3, 2), "sat", (37, 218673)),
+        ],
+        ids=["I2-8x8", "column-5x5-ex", "column-5x5-sat", "I2-4x4x4"],
+    )
+    def test_values_and_node_counts(self, ext, pattern, quantity, pin):
+        fn = {"ex": exact_ex, "sat": exact_sat}[quantity]
+        shape = Shape(ext)
+        res = fn(shape, pattern, SearchBudget(max_cells=shape.cell_count))
+        assert (res.value, res.nodes) == pin
+
+    @given(host_and_pattern(max_host_cells=16, nonzero=True))
+    # a key without the open 0s' sets cuts the optimum here (sat 7, not 8)
+    @example((Matrix01.zeros(Shape((4, 3))), Matrix01(Shape((3, 2)), 19)))
+    # so does a cut at a cost one above the earlier one's (sat 8, not 9)
+    @example((Matrix01.zeros(Shape((4, 4))), Matrix01(Shape((2, 3)), 44)))
+    @example((Matrix01.zeros(Shape((2, 2, 2))), identity_pattern(3, 2)))
+    def test_keyed_from_the_start_keeps_values_and_witnesses(self, pair):
+        # the table starts at the first clock check past _TICK nodes: with a
+        # check every other node it keys these small searches too, and with
+        # none in reach it never starts
+        shape, p = pair[0].shape, pair[1]
+        for fn in (exact_sat, exact_ex):
+            found = []
+            for tick in (2, 10**9):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(exact, "_TICK", tick)
+                    res = fn(shape, p, SearchBudget(max_cells=16))
+                found.append((res.value, res.witness))
+            assert found[0] == found[1], fn.__name__
+
+    @given(host_and_pattern(max_host_cells=12, nonzero=True))
+    @example((Matrix01.zeros(Shape((4, 3))), I2))
+    @example((Matrix01.zeros(Shape((2, 2, 3))), identity_pattern(3, 2)))
+    def test_masks_match_their_definitions(self, pair):
+        # at each line start t but the last, over the sorted supports of
+        # every field: the tops of the runs of equal future parts, the
+        # supports of the cells below t lying wholly below t plus those
+        # cells' guards, and the first bit of t's field
+        shape = pair[0].shape
+        line = shape.extents[-1]
+        assume(shape.cell_count >= 3 * line)  # the searches keep no table below
+        meter = exact._Meter(SearchBudget())
+        supports = [sorted(s) for s in exact._support_tables(shape, pair[1], meter)]
+        width = shape.cell_count + sum(map(len, supports))
+        expected = {}
+        for t in range(line, shape.cell_count - line, line):
+            tops = ends = cut = 0
+            i = 0
+            for z, sups in enumerate(supports):
+                if z == t:
+                    cut = i
+                for j, s in enumerate(sups):
+                    if j + 1 == len(sups) or sups[j + 1] >> t != s >> t:
+                        tops |= 1 << i
+                    if z < t and not s >> t:
+                        ends |= 1 << i
+                    i += 1
+                if z < t:
+                    ends |= 1 << i
+                i += 1
+            expected[t] = (tops, ends, cut)
+        assert exact._frontier_masks(shape, supports, width, meter) == expected
 
 
 class TestSupportTables:
