@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Print the verdict reports of seeded instances, to compare two satmat versions.
+
+Each line is the repr of one tuple: the path ("sweep" or "per-flip"), the
+verdict ("sat" or "ssat"), the host (extents, bits), the pattern (extents,
+bits), then the report: verdict, failure kind and counterexample (a 1-based
+cell, or an embedding's selections).  The instances are seeded random hosts
+and patterns with d in {1, 2, 3}, at most 5 per host extent and 3 per pattern
+extent, at several densities.  Every instance is answered twice: first as
+the library chooses (the whole-selection sweep at these sizes), then with
+``saturation.SWEEP_LIMIT`` forced to -1, so every verdict runs one pinned
+search per 0-cell.  A change that keeps every report leaves the dump
+byte-identical:
+
+    PYTHONPATH=src python3 scripts/verdict_dump.py > new.txt
+    PYTHONPATH=../parent/src python3 scripts/verdict_dump.py > old.txt
+    cmp old.txt new.txt
+
+Only the standard library and satmat are used.  --small runs a subset in
+well under a second.
+"""
+
+import argparse
+import random
+
+import satmat.saturation as saturation
+from satmat import Embedding, Matrix01, Shape, is_saturating, is_semisaturating
+
+VERDICTS = {"sat": is_saturating, "ssat": is_semisaturating}
+DENSITIES = (0.2, 0.5, 0.8)
+
+
+def instances(count):
+    """(host, pattern) pairs of equal dimension; some patterns do not fit."""
+    rng = random.Random(1)
+    out = []
+    for i in range(count):
+        d = 1 + i % 3
+        host = Shape(tuple(rng.randrange(1, 6) for _ in range(d)))
+        pattern = Shape(tuple(rng.randrange(1, 4) for _ in range(d)))
+        density = DENSITIES[i // 3 % len(DENSITIES)]
+        bits = sum(
+            1 << c for c in range(host.cell_count) if rng.random() < density
+        )
+        out.append(
+            (
+                Matrix01(host, bits),
+                Matrix01(pattern, rng.randrange(1 << pattern.cell_count)),
+            )
+        )
+    return out
+
+
+def line(path, name, m, p):
+    rep = VERDICTS[name](m, p)
+    cx = rep.counterexample
+    if isinstance(cx, Embedding):
+        cx = cx.selections
+    return repr(
+        (
+            path,
+            name,
+            (m.shape.extents, m.bits),
+            (p.shape.extents, p.bits),
+            rep.verdict,
+            rep.failure_kind,
+            cx,
+        )
+    )
+
+
+def dump(small):
+    pairs = instances(60 if small else 4000)
+    for path, limit in (("sweep", saturation.SWEEP_LIMIT), ("per-flip", -1)):
+        saved = saturation.SWEEP_LIMIT
+        saturation.SWEEP_LIMIT = limit
+        try:
+            for m, p in pairs:
+                for name in VERDICTS:
+                    yield line(path, name, m, p)
+        finally:
+            saturation.SWEEP_LIMIT = saved
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--small", action="store_true", help="a sub-second subset")
+    args = ap.parse_args(argv)
+    for text in dump(args.small):
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

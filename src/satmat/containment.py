@@ -11,8 +11,12 @@ which is what "the new copy must use the flipped cell" amounts to; every
 anchored question (``anchored_contains``, ``potentially_matches``, the
 per-flip saturation verdicts, the greedy construction) goes through the one
 pinned search ``_pinned_hits``.  Questions about every selection at once
-(sweep verdicts, exact search tables, ``enumerate_embeddings``) consume the
-one image-mask builder ``iter_image_masks``.
+see the selections in one lexicographic order, in one of two layouts: the
+exact search tables and ``enumerate_embeddings`` consume
+``iter_image_masks``, one image mask per selection, and the sweep verdicts
+read ``image_columns``, the same table stored cell-major (per host cell,
+one bit per selection), which is built from per-dimension Kronecker
+products without visiting the selection vectors one by one.
 
 Pure functions over immutable values throughout.
 """
@@ -20,9 +24,10 @@ Pure functions over immutable values throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import comb, prod
+from operator import or_
 from typing import Iterator
 
 from .core import Coord, Matrix01, Shape, _recursion_ceiling
@@ -258,9 +263,9 @@ def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:
 
 # ---------------------------------------------------------------------------
 # Whole-embedding enumeration.  Over the all-one host every selection is an
-# embedding; ``iter_image_masks`` is the one place that turns selections
-# into their 1-entry images, which is what the sweep-style verdicts, the
-# exact searches and ``enumerate_embeddings`` consume.
+# embedding; ``iter_image_masks`` turns selections into their 1-entry images
+# one by one, for the exact searches and ``enumerate_embeddings``, and
+# ``image_columns`` holds the same images cell-major, for the sweep verdicts.
 
 
 def embeddings_count(host_shape: Shape, p: Matrix01) -> int:
@@ -315,18 +320,117 @@ def iter_image_masks(host_shape: Shape, p: Matrix01) -> Iterator[int]:
             yield e
 
 
-@lru_cache(maxsize=1)
-def one_image_masks(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
-    """All of ``iter_image_masks`` as a tuple, caching the last table only.
+def _index_sets(n: int, l: int, stride: int, owners, count: int) -> list[list[int]]:
+    """Which selections of one dimension put each host index at each owner.
 
-    A host M then contains p iff some mask is a subset of M's bits, and
-    flipping a 0-cell z creates a copy using z iff some mask misses exactly
-    the bit of z.  Verdict sweeps check many hosts of one (shape, pattern)
-    in a row, so one table gets nearly every reuse; a sweep table can hold
-    up to ``saturation.SWEEP_LIMIT`` masks, so keeping more costs memory for
-    little.
+    ``owners[r]`` lists the owners, below ``count``, of rank r.  Entry
+    ``[o][x]`` has bit ``a * stride`` set iff the a-th of the 0-based
+    ``combinations(range(n), l)``, in lexicographic order, holds x at a rank
+    that o owns.  With ``stride`` the number of selections of the later
+    dimensions, a product of entries over the dimensions is their Kronecker
+    product: its bits are the selection vectors in ``iter_image_masks``
+    order.
+
+    Setting a bit copies the whole int, so the sets are built a window of
+    ``span`` selections at a time, a whole number of bytes wide, and the
+    windows are joined as bytes at the end: the cost stays linear in the
+    output even when one dimension has many selections.  A window holds as
+    many selections as there are sets, so a small dimension is one window
+    and needs no joining.
     """
-    return tuple(iter_image_masks(host_shape, p))
+    span = -(-count * n // 8) * 8
+    windows = []
+    sets = [[0] * n for _ in range(count)]
+    start, end = 0, span
+    for a, sel in enumerate(combinations(range(n), l)):
+        if a == end:
+            windows.append(sets)
+            sets = [[0] * n for _ in range(count)]
+            start, end = end, end + span
+        bit = 1 << (a - start) * stride
+        for x, group in zip(sel, owners):
+            for o in group:
+                sets[o][x] |= bit
+    if not windows:
+        return sets
+    windows.append(sets)
+    size = span * stride // 8
+
+    def joined(o, x):
+        parts = b"".join(w[o][x].to_bytes(size, "little") for w in windows)
+        return int.from_bytes(parts, "little")
+
+    return [[joined(o, x) for x in range(n)] for o in range(count)]
+
+
+def _kron(a, b):
+    """Kronecker product of two lists of bitsets, lazily: ``a`` is read once.
+
+    ``s * t`` is the Kronecker product of s and t when s has its bits at
+    multiples of t's width.
+    """
+    return (s * t for s in a for t in b)
+
+
+@lru_cache(maxsize=1)
+def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
+    """The selection table, cell-major: per host cell, the selections using it.
+
+    Bit k of entry c is set iff the 1-entry image of the k-th selection of
+    ``iter_image_masks`` holds host cell c, so k = P * R + t for the prefix
+    selection P, the last-dimension selection t and R selections of the
+    last dimension.  For each distinct (d-1)-prefix j of p's 1-entries, the
+    prefix selections mapping j onto host prefix f are the Kronecker
+    product, over the prefix dimensions, of the sets "holds f_i at rank
+    j_i"; times the set of last-dimension selections that put a 1 of j at
+    index y, they are j's part of the column of cell (f, y).  The parts of
+    distinct prefixes are disjoint, as a selection is one-to-one, and all
+    are made lazily, row-major, so only the table is ever held whole.  A
+    pattern that does not fit, or has no 1, has an all-zero table.
+
+    Verdict sweeps check many hosts of one (shape, pattern) in a row, so
+    one table gets nearly every reuse; a sweep table holds up to
+    ``saturation.SWEEP_LIMIT`` selection bits per cell, so keeping more
+    costs memory for little.
+    """
+    if host_shape.d != p.shape.d:
+        raise ValueError("dimension mismatch")
+    if not (host_shape.fits(p.shape) and p.bits):
+        return (0,) * host_shape.cell_count
+    prefixes, by_last, _ = _pattern_meta(p)
+    *n_pre, n_last = host_shape.extents
+    *l_pre, l_last = p.shape.extents
+    counts = list(map(comb, host_shape.extents, p.shape.extents))
+    spreads = [
+        _index_sets(n, l, prod(counts[i + 1 :]), [(r,) for r in range(l)], l)
+        for i, (n, l) in enumerate(zip(n_pre, l_pre))
+    ]
+    # [j][y]: the last-dimension selections putting a 1 of prefix j at y
+    blocks = _index_sets(n_last, l_last, 1, by_last, len(prefixes))
+    parts = []
+    for pf, block in zip(prefixes, blocks):
+        share = [1]
+        for sets, r in zip(spreads, pf):
+            share = _kron(share, sets[r])
+        parts.append(_kron(share, block))
+    return tuple(reduce(partial(map, or_), parts))
+
+
+def _embedding_at(host_shape: Shape, p_shape: Shape, k: int) -> Embedding:
+    """The k-th selection in ``iter_image_masks`` order, as an Embedding."""
+    sels = []
+    for n, l in zip(reversed(host_shape.extents), reversed(p_shape.extents)):
+        k, a = divmod(k, comb(n, l))
+        # unrank a: skip the blocks of selections with a smaller next index
+        sel, x = [], 0
+        for left in range(l - 1, -1, -1):
+            while a >= (block := comb(n - x - 1, left)):
+                a -= block
+                x += 1
+            sel.append(x)
+            x += 1
+        sels.append(sel)
+    return _to_embedding(reversed(sels))
 
 
 def enumerate_embeddings(

@@ -466,7 +466,10 @@ def _box_mask(shape: Shape, index_sets: Sequence[Iterable[int]]) -> int:
 # one line per run along the last dimension, with a blank line between groups
 # sharing the first d-2 coordinates.
 
-_DIMS_RE = re.compile(r"^dims:\s*(\d+(?:\s+\d+)*)\s*$")
+_DIMS_RE = re.compile(r"^dims:\s*(\d+(?:\s+\d+)*)\s*$", re.ASCII)
+# a body character that is neither a cell nor whitespace (str.isspace)
+_NOT_BODY_RE = re.compile(r"[^01\s]")
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
 
 
 def cell_string(m: Matrix01) -> str:
@@ -493,6 +496,7 @@ def format_01m(m: Matrix01) -> str:
 
 
 def parse_01m(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Matrix01:
+    """Read ``.01m`` text, in time and memory linear in its length."""
     stripped = text.lstrip()
     header, _, rest = stripped.partition("\n")
     match = _DIMS_RE.match(header.strip())
@@ -500,17 +504,15 @@ def parse_01m(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Matrix0
         raise ParseError(f"bad header line: {header!r}")
     shape = Shape(tuple(int(t) for t in match.group(1).split()))
     _check_cell_limit(shape, cell_limit, overridable=True)
-    bits = 0
-    count = 0
-    for ch in rest:
-        if ch in "01":
-            if ch == "1":
-                bits |= 1 << count
-            count += 1
-        elif not ch.isspace():
-            raise ParseError(f"unexpected character {ch!r} in matrix body")
+    bad = _NOT_BODY_RE.search(rest)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r} in matrix body")
+    count = rest.count("0") + rest.count("1")
     if count != shape.cell_count:
         raise ParseError(
             f"expected {shape.cell_count} cells for dims {shape.extents}, got {count}"
         )
-    return Matrix01(shape, bits)
+    # only 0s, 1s and whitespace are left: drop the non-ASCII whitespace,
+    # then the ASCII whitespace; bit k is character k, so read it backwards
+    body = rest.encode("ascii", "ignore").translate(None, _ASCII_SPACE)
+    return Matrix01(shape, int(body[::-1], 2))

@@ -10,27 +10,32 @@ saturating weight at zero: is_saturating is true exactly for the all-zero
 matrix and is_semisaturating is true for every matrix.
 
 Both verdicts share one decision.  Up to ``SWEEP_LIMIT`` candidate
-selections they run a single sweep over the cached image masks of every
-selection of the pattern inside the host shape: a mask that misses exactly
-one host cell marks that cell as a productive flip, and a mask missing
-nothing is a pre-existing copy.  Larger hosts would need too big a table,
-so they fall back to one pinned search per 0-cell, which asks whether the
-flipped host has a copy through that cell.  Both paths give the same
-verdicts and the same row-major-first counterexample.
+selections they sweep the cached cell-major selection table
+(``containment.image_columns``: per host cell, the selections whose image
+holds it), walking the host's 0-cells with a few big-int operations each:
+a selection whose image misses exactly one 0-cell makes that cell a
+productive flip, and a selection missing none is a pre-existing copy, the
+lowest one being the lexicographically least.  Larger hosts would need too
+big a table, so they fall back to one pinned search per 0-cell, which asks
+whether the flipped host has a copy through that cell.  Both paths give the
+same verdicts and the same counterexamples: the row-major-first dead flip,
+or the lexicographically least copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .containment import (
     Embedding,
     _check_dims,
+    _embedding_at,
     _lines_with_flip,
     _pinned_hits,
     contains,
     embeddings_count,
-    one_image_masks,
+    image_columns,
 )
 from .core import Coord, Matrix01
 
@@ -58,25 +63,31 @@ def avoids(m: Matrix01, p: Matrix01) -> bool:
     return contains(m, p) is None
 
 
-def _flip_cover(m: Matrix01, p: Matrix01) -> tuple[bool, int]:
-    """(host contains p, bitmask of 0-cells whose flip completes a copy)."""
+def _flip_cover(m: Matrix01, p: Matrix01, full: int) -> tuple[int, Iterator[int]]:
+    """(selections inside m, m's dead flips), walking m's 0-cells.
+
+    Over the cell-major table, ``once`` collects the selections whose image
+    holds some 0-cell of m and ``twice`` those holding two or more.  A
+    selection outside ``once`` is a copy of p in m; the lowest one is the
+    lexicographically least.  A 0-cell z is a productive flip iff some
+    selection holds z and no other 0-cell: ``col[z] & once & ~twice``.
+    The dead flips (flat indices, ascending) are found lazily, so a caller
+    that stops at a pre-existing copy never walks them.
+    """
+    cols = image_columns(m.shape, p)
+    zeros = []
+    once = twice = 0
     inv = m.shape.full_mask ^ m.bits
-    found = False
-    covered = 0
-    for e in one_image_masks(m.shape, p):
-        miss = e & inv
-        if not miss:
-            found = True
-        elif not miss & (miss - 1):
-            covered |= miss
-    return found, covered
-
-
-def _first_uncovered(m: Matrix01, covered: int) -> Coord | None:
-    uncovered = (m.shape.full_mask ^ m.bits) & ~covered
-    if not uncovered:
-        return None
-    return m.shape.coord_at((uncovered & -uncovered).bit_length() - 1)
+    while inv:
+        low = inv & -inv
+        z = low.bit_length() - 1
+        zeros.append(z)
+        col = cols[z]
+        twice |= once & col
+        once |= col
+        inv ^= low
+    single = once & ~twice
+    return full ^ once, (z for z in zeros if not cols[z] & single)
 
 
 def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationReport:
@@ -85,12 +96,18 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
     For a nonzero pattern.  When m avoids p, a copy created by a flip must
     use the flipped cell, so the same test serves both verdicts.
     """
-    if embeddings_count(m.shape, p) <= SWEEP_LIMIT:
-        found, covered = _flip_cover(m, p)
-        if must_avoid and found:
-            return SaturationReport(False, "contains_pattern", contains(m, p))
-        bad = _first_uncovered(m, covered)
-        return _OK if bad is None else SaturationReport(False, "dead_flip", bad)
+    count = embeddings_count(m.shape, p)
+    if count <= SWEEP_LIMIT:
+        inside, dead = _flip_cover(m, p, (1 << count) - 1)
+        if must_avoid and inside:
+            k = (inside & -inside).bit_length() - 1
+            return SaturationReport(
+                False, "contains_pattern", _embedding_at(m.shape, p.shape, k)
+            )
+        z = next(dead, None)
+        return _OK if z is None else SaturationReport(
+            False, "dead_flip", m.shape.coord_at(z)
+        )
 
     if must_avoid:
         emb = contains(m, p)

@@ -20,7 +20,7 @@ from satmat import (
     is_semisaturating,
     potentially_matches,
 )
-from satmat.containment import one_image_masks
+from satmat.containment import image_columns
 from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
@@ -31,6 +31,15 @@ BUILDER_EXAMPLES = [
     (Matrix01.from_nested([[0, 1], [1, 0]]), Matrix01.zeros(Shape((1, 2)))),
     (Matrix01.filled(Shape((2, 3))), Matrix01.filled(Shape((3, 1)))),
 ]
+
+
+def oracle_columns(host: Shape, p: Matrix01) -> tuple[int, ...]:
+    """Column c holds bit k iff the image of the k-th oracle selection holds c."""
+    cols = [0] * host.cell_count
+    for k, sels in enumerate(oracles.all_selections(host, p.shape)):
+        for o in p.iter_ones():
+            cols[host.flat_index(tuple(s[q - 1] for s, q in zip(sels, o)))] |= 1 << k
+    return tuple(cols)
 
 
 def with_builder_examples(test):
@@ -204,14 +213,21 @@ class TestEnumeration:
     @given(host_and_pattern())
     def test_image_masks_match_oracle_selections(self, pair):
         m, p = pair
-        want = tuple(
-            sum(
-                1 << m.shape.flat_index(tuple(s[q - 1] for s, q in zip(sels, o)))
-                for o in p.iter_ones()
-            )
-            for sels in oracles.all_selections(m.shape, p.shape)
-        )
-        assert one_image_masks(m.shape, p) == want
+        assert image_columns(m.shape, p) == oracle_columns(m.shape, p)
+
+    @pytest.mark.parametrize(
+        "host,p",
+        [
+            # dimensions with many more selections than host indices, so
+            # the per-dimension sets are built in several windows
+            ((9,), Matrix01.from_nested([1, 0, 1])),
+            ((9, 2), Matrix01.filled(Shape((3, 1)))),
+            ((2, 10), Matrix01.from_nested([[0, 1, 1], [1, 0, 1]])),
+            ((7, 2, 3), Matrix01.from_ones(Shape((3, 1, 2)), [(1, 1, 2), (3, 1, 1)])),
+        ],
+    )
+    def test_image_columns_of_long_dimensions(self, host, p):
+        assert image_columns(Shape(host), p) == oracle_columns(Shape(host), p)
 
     @with_builder_examples
     @given(host_and_pattern())

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -254,6 +257,75 @@ class TestFormat01m:
     def test_parse_errors(self, text):
         with pytest.raises((ParseError, ValueError)):
             parse_01m(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim: 2 2\n1001", "bad header line: 'dim: 2 2'"),
+            ("dims: 2 2\n100", r"expected 4 cells for dims \(2, 2\), got 3"),
+            ("dims: 2 2\n1 0\n1x1", "unexpected character 'x' in matrix body"),
+            # the first offending character is named, before any count check
+            ("dims: 3\n1\u0663 1 1 2", "unexpected character '\u0663' in matrix body"),
+            # extents are ASCII digits only
+            ("dims: \u0663\n111", "bad header line"),
+        ],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_01m(text)
+
+    def test_unicode_whitespace_in_body(self):
+        text = "dims: 2 2\n1\u00a00\u2028\x1c0\u30001\n"
+        assert parse_01m(text) == Matrix01.from_nested([[1, 0], [0, 1]])
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.tuples(
+                st.sampled_from(["dims:", "dims: ", "dim: ", ""]),
+                st.lists(
+                    st.one_of(
+                        st.integers(0, 4).map(str),
+                        st.sampled_from(["\u0663", "-1", "1_0", "x"]),
+                    ),
+                    max_size=3,
+                ),
+                st.sampled_from(["\n", " \n", "\n\n", ""]),
+                st.lists(
+                    st.sampled_from(list("01 \n\t\x1c\x85\xa0\u3000\u0663x_2")),
+                    max_size=20,
+                ),
+            ).map(lambda t: t[0] + " ".join(t[1]) + t[2] + "".join(t[3])),
+        )
+    )
+    def test_fuzz_parses_or_raises_value_error(self, text):
+        # ParseError is a ValueError; nothing else may escape
+        try:
+            m = parse_01m(text)
+        except ValueError:
+            return
+        body = text.lstrip().partition("\n")[2]
+        assert m.shape.cell_count == body.count("0") + body.count("1")
+        assert m.weight == body.count("1")
+        assert parse_01m(format_01m(m)) == m
+
+    @given(
+        matrix_of_random_shape(), st.integers(1, 7), st.sampled_from([" ", "\n", "\t "])
+    )
+    def test_round_trip_rewrapped(self, m, width, sep):
+        # any rewrapping of the body reads back as the same matrix
+        header, body = format_01m(m).split("\n", 1)
+        cells = "".join(body.split())
+        rewrapped = sep.join(cells[i : i + width] for i in range(0, len(cells), width))
+        assert parse_01m(header + "\n" + rewrapped) == m
+
+    def test_large_body_parses_in_linear_time(self):
+        # a quadratic parser takes seconds here
+        m = Matrix01(Shape((1000, 1000)), random.Random(1).getrandbits(1000 * 1000))
+        text = format_01m(m)
+        start = time.perf_counter()
+        assert parse_01m(text) == m
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBoundsChecks:

@@ -9,6 +9,7 @@ from satmat import (
     Matrix01,
     Shape,
     avoids,
+    contains,
     greedy_saturate,
     identity_pattern,
     is_saturating,
@@ -84,6 +85,34 @@ class TestIsSaturating:
             semi_rep = is_semisaturating(m, p)
             assert sat_rep.verdict == oracles.brute_is_saturating(m, p)
             assert semi_rep.verdict == oracles.brute_is_semisaturating(m, p)
+
+    @given(host_and_pattern(max_host_cells=12, max_pattern_cells=6))
+    def test_sweep_and_per_flip_reports_agree(self, pair):
+        # the whole report, counterexample included, for both verdicts
+        m, p = pair
+        sweep = [is_saturating(m, p), is_semisaturating(m, p)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saturation, "SWEEP_LIMIT", -1)
+            per_flip = [is_saturating(m, p), is_semisaturating(m, p)]
+        assert sweep == per_flip
+
+    @given(host_and_pattern(max_host_cells=12, max_pattern_cells=6, nonzero=True))
+    def test_sweep_witness_is_least_embedding_without_search(self, pair):
+        # the sweep reads the lexicographically least copy off its table
+        m, p = pair
+        want = contains(m, p)
+
+        def no_search(*args):
+            raise AssertionError("the sweep path ran a containment search")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saturation, "contains", no_search)
+            rep = is_saturating(m, p)
+        if want is None:
+            assert rep.failure_kind != "contains_pattern"
+        else:
+            assert rep.failure_kind == "contains_pattern"
+            assert rep.counterexample == want
 
 
 class TestIsSemisaturating:

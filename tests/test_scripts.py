@@ -37,3 +37,16 @@ def test_exact_dump_small_without_nodes(capsys):
     assert [ast.literal_eval(text) for text in lines] == [
         c[:-1] for c in full if c[3] is None
     ]
+
+
+def test_verdict_dump_small(capsys):
+    main = runpy.run_path(str(SCRIPTS / "verdict_dump.py"))["main"]
+    assert main(["--small"]) == 0
+    rows = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
+    assert rows[0][:2] == ("sweep", "sat")
+    sweep = [r[1:] for r in rows if r[0] == "sweep"]
+    per_flip = [r[1:] for r in rows if r[0] == "per-flip"]
+    # both paths answer the same instances with the same reports
+    assert len(sweep) == len(per_flip) == len(rows) // 2
+    assert sweep == per_flip
+    assert {r[4] for r in sweep} == {None, "dead_flip", "contains_pattern"}
