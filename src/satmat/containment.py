@@ -15,8 +15,9 @@ see the selections in one lexicographic order, in one of two layouts: the
 exact search tables and ``enumerate_embeddings`` consume
 ``iter_image_masks``, one image mask per selection, and the sweep verdicts
 read ``image_columns``, the same table stored cell-major (per host cell,
-one bit per selection), which is built from per-dimension Kronecker
-products without visiting the selection vectors one by one.
+one bit per selection).  That table is built either one step per
+(selection, pattern 1-entry) or one big-int product per (pattern prefix,
+host cell) from per-dimension Kronecker products, whichever has fewer.
 
 Pure functions over immutable values throughout.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import comb, prod
-from operator import or_
+from operator import mul, or_
 from typing import Iterator
 
 from .core import Coord, Matrix01, Shape, _recursion_ceiling
@@ -372,6 +373,61 @@ def _kron(a, b):
     return (s * t for s in a for t in b)
 
 
+def _transposed(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
+    """The selection table built one step per (selection, 1-entry of p).
+
+    Per dimension and selection, the host offsets of every 1-entry's index
+    in that dimension; the cells of a selection vector's image are the
+    sums of its offsets, one per 1-entry.  Only the columns are held.
+    """
+    ones = _pattern_meta(p)[2]
+    offsets = [
+        [tuple(sel[o[i]] * stride for o in ones) for sel in combinations(range(n), l)]
+        for i, (n, l, stride) in enumerate(
+            zip(host_shape.extents, p.shape.extents, host_shape.strides)
+        )
+    ]
+    cols = [0] * host_shape.cell_count
+    bit = 1
+    for offs in product(*offsets):
+        for c in map(sum, zip(*offs)):
+            cols[c] |= bit
+        bit <<= 1
+    return tuple(cols)
+
+
+def _kronecker(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
+    """The selection table built one big-int product per (prefix, host cell).
+
+    For each distinct (d-1)-prefix j of p's 1-entries, the prefix
+    selections mapping j onto host prefix f are the Kronecker product, over
+    the prefix dimensions, of the sets "holds f_i at rank j_i"; times the
+    set of last-dimension selections that put a 1 of j at index y, they
+    are j's part of the column of cell (f, y).  Sets are made only for the
+    ranks some prefix uses; the others stay 0.  The parts of distinct
+    prefixes are disjoint, as a selection is one-to-one; they are made
+    lazily, row-major, and ORed through one map per prefix, so each column
+    is whole before the next is begun.
+    """
+    prefixes, by_last, _ = _pattern_meta(p)
+    counts = list(map(comb, host_shape.extents, p.shape.extents))
+    *n_pre, n_last = host_shape.extents
+    *l_pre, l_last = p.shape.extents
+    spreads = []
+    for i, (n, l) in enumerate(zip(n_pre, l_pre)):
+        owners = [()] * l
+        for pf in prefixes:
+            owners[pf[i]] = (pf[i],)
+        spreads.append(_index_sets(n, l, prod(counts[i + 1 :]), owners, l))
+    # [j][y]: the last-dimension selections putting a 1 of prefix j at y
+    blocks = _index_sets(n_last, l_last, 1, by_last, len(prefixes))
+    parts = [
+        reduce(_kron, [sets[r] for sets, r in zip(spreads, pf)] + [block])
+        for pf, block in zip(prefixes, blocks)
+    ]
+    return tuple(reduce(partial(map, or_), parts))
+
+
 @lru_cache(maxsize=1)
 def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     """The selection table, cell-major: per host cell, the selections using it.
@@ -379,14 +435,14 @@ def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     Bit k of entry c is set iff the 1-entry image of the k-th selection of
     ``iter_image_masks`` holds host cell c, so k = P * R + t for the prefix
     selection P, the last-dimension selection t and R selections of the
-    last dimension.  For each distinct (d-1)-prefix j of p's 1-entries, the
-    prefix selections mapping j onto host prefix f are the Kronecker
-    product, over the prefix dimensions, of the sets "holds f_i at rank
-    j_i"; times the set of last-dimension selections that put a 1 of j at
-    index y, they are j's part of the column of cell (f, y).  The parts of
-    distinct prefixes are disjoint, as a selection is one-to-one, and all
-    are made lazily, row-major, so only the table is ever held whole.  A
-    pattern that does not fit, or has no 1, has an all-zero table.
+    last dimension.  A pattern that does not fit, or has no 1, has an
+    all-zero table.  Of the two builds the one with fewer steps runs:
+    ``_transposed`` takes a step per (selection, 1-entry of p) and
+    ``_kronecker`` a big-int product and OR per (distinct prefix of p's
+    1-entries, host cell), after an l_i × n_i table of sets per prefix
+    dimension.  The first wins on tables of a few selections and on
+    patterns about as large as the host, which have many prefixes but few
+    selections; the second on tables with many selections per cell.
 
     Verdict sweeps check many hosts of one (shape, pattern) in a row, so
     one table gets nearly every reuse; a sweep table holds up to
@@ -397,23 +453,14 @@ def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
         raise ValueError("dimension mismatch")
     if not (host_shape.fits(p.shape) and p.bits):
         return (0,) * host_shape.cell_count
-    prefixes, by_last, _ = _pattern_meta(p)
-    *n_pre, n_last = host_shape.extents
-    *l_pre, l_last = p.shape.extents
-    counts = list(map(comb, host_shape.extents, p.shape.extents))
-    spreads = [
-        _index_sets(n, l, prod(counts[i + 1 :]), [(r,) for r in range(l)], l)
-        for i, (n, l) in enumerate(zip(n_pre, l_pre))
-    ]
-    # [j][y]: the last-dimension selections putting a 1 of prefix j at y
-    blocks = _index_sets(n_last, l_last, 1, by_last, len(prefixes))
-    parts = []
-    for pf, block in zip(prefixes, blocks):
-        share = [1]
-        for sets, r in zip(spreads, pf):
-            share = _kron(share, sets[r])
-        parts.append(_kron(share, block))
-    return tuple(reduce(partial(map, or_), parts))
+    prefixes, _, ones = _pattern_meta(p)
+    # the Kronecker build's products, and its rank × index sets per
+    # prefix dimension, against the transposed build's steps
+    kron = [len(prefixes) * host_shape.cell_count]
+    kron += map(mul, host_shape.extents[:-1], p.shape.extents[:-1])
+    if embeddings_count(host_shape, p) * len(ones) < max(kron):
+        return _transposed(host_shape, p)
+    return _kronecker(host_shape, p)
 
 
 def _embedding_at(host_shape: Shape, p_shape: Shape, k: int) -> Embedding:

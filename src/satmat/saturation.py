@@ -25,7 +25,6 @@ or the lexicographically least copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .containment import (
     Embedding,
@@ -63,31 +62,28 @@ def avoids(m: Matrix01, p: Matrix01) -> bool:
     return contains(m, p) is None
 
 
-def _flip_cover(m: Matrix01, p: Matrix01, full: int) -> tuple[int, Iterator[int]]:
-    """(selections inside m, m's dead flips), walking m's 0-cells.
+def _flip_cover(m: Matrix01, p: Matrix01) -> tuple[int, int, list[tuple[int, int]]]:
+    """(once, single, walked): m's 0-cells swept over the cell-major table.
 
-    Over the cell-major table, ``once`` collects the selections whose image
-    holds some 0-cell of m and ``twice`` those holding two or more.  A
-    selection outside ``once`` is a copy of p in m; the lowest one is the
-    lexicographically least.  A 0-cell z is a productive flip iff some
-    selection holds z and no other 0-cell: ``col[z] & once & ~twice``.
-    The dead flips (flat indices, ascending) are found lazily, so a caller
-    that stops at a pre-existing copy never walks them.
+    ``walked`` pairs each 0-cell z of m (flat index, ascending) with its
+    column ``col[z]``, the selections whose image holds z.  ``once`` holds
+    the selections whose image holds some 0-cell and ``single`` those
+    holding exactly one.  A selection outside ``once`` is a copy of p in
+    m; the lowest one is the lexicographically least.  A 0-cell z is a
+    productive flip iff ``col[z] & single``.
     """
     cols = image_columns(m.shape, p)
-    zeros = []
+    walked = []
     once = twice = 0
     inv = m.shape.full_mask ^ m.bits
     while inv:
-        low = inv & -inv
-        z = low.bit_length() - 1
-        zeros.append(z)
+        z = (inv & -inv).bit_length() - 1
         col = cols[z]
         twice |= once & col
         once |= col
-        inv ^= low
-    single = once & ~twice
-    return full ^ once, (z for z in zeros if not cols[z] & single)
+        walked.append((z, col))
+        inv &= inv - 1
+    return once, once & ~twice, walked
 
 
 def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationReport:
@@ -98,16 +94,17 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
     """
     count = embeddings_count(m.shape, p)
     if count <= SWEEP_LIMIT:
-        inside, dead = _flip_cover(m, p, (1 << count) - 1)
-        if must_avoid and inside:
-            k = (inside & -inside).bit_length() - 1
-            return SaturationReport(
-                False, "contains_pattern", _embedding_at(m.shape, p.shape, k)
-            )
-        z = next(dead, None)
-        return _OK if z is None else SaturationReport(
-            False, "dead_flip", m.shape.coord_at(z)
-        )
+        once, single, walked = _flip_cover(m, p)
+        if must_avoid:
+            # the lowest selection outside once
+            k = ((once + 1) & ~once).bit_length() - 1
+            if k < count:
+                emb = _embedding_at(m.shape, p.shape, k)
+                return SaturationReport(False, "contains_pattern", emb)
+        for z, col in walked:
+            if not col & single:
+                return SaturationReport(False, "dead_flip", m.shape.coord_at(z))
+        return _OK
 
     if must_avoid:
         emb = contains(m, p)

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 
 import oracles
 from conftest import host_and_pattern
@@ -20,7 +20,7 @@ from satmat import (
     is_semisaturating,
     potentially_matches,
 )
-from satmat.containment import image_columns
+from satmat.containment import _kronecker, _transposed, image_columns
 from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
@@ -215,6 +215,15 @@ class TestEnumeration:
         m, p = pair
         assert image_columns(m.shape, p) == oracle_columns(m.shape, p)
 
+    @given(host_and_pattern(nonzero=True))
+    def test_both_table_builds_match_oracle(self, pair):
+        # image_columns runs one build per input; each must give the table
+        m, p = pair
+        assume(m.shape.fits(p.shape))
+        want = oracle_columns(m.shape, p)
+        assert _transposed(m.shape, p) == want
+        assert _kronecker(m.shape, p) == want
+
     @pytest.mark.parametrize(
         "host,p",
         [
@@ -227,7 +236,8 @@ class TestEnumeration:
         ],
     )
     def test_image_columns_of_long_dimensions(self, host, p):
-        assert image_columns(Shape(host), p) == oracle_columns(Shape(host), p)
+        want = oracle_columns(Shape(host), p)
+        assert _kronecker(Shape(host), p) == image_columns(Shape(host), p) == want
 
     @with_builder_examples
     @given(host_and_pattern())

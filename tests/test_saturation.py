@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -113,6 +115,17 @@ class TestIsSaturating:
         else:
             assert rep.failure_kind == "contains_pattern"
             assert rep.counterexample == want
+
+    def test_pattern_as_tall_as_the_host_is_fast(self):
+        # one selection but as many distinct rows as cells: the table is
+        # read off that selection, not built per (row, cell)
+        shape = Shape((3000, 1))
+        p = Matrix01.filled(shape)
+        start = time.perf_counter()
+        assert is_saturating(Matrix01(shape, shape.full_mask ^ 1), p).verdict
+        rep = is_saturating(Matrix01.filled(shape), p)
+        assert rep.failure_kind == "contains_pattern"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsSemisaturating:
