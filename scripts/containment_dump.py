@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Print containment witnesses of seeded instances, to compare two satmat versions.
+
+Each line is the repr of one tuple, in one of three forms:
+
+    ("contains", host, pattern, selections)
+    ("anchored", host, pattern, anchor, selections)
+    ("greedy", pattern, host extents, order seed, bits)
+
+A host or pattern is (extents, bits), selections are the witness
+embedding's 1-based index selections or None, and an anchor is a 1-based
+host cell.  The instances are seeded random hosts and patterns with d in
+{1, 2, 3, 4}, at most 6, 5, 4 and 3 per host extent and 3 per pattern
+extent, at several densities.  Every instance gets ``contains`` and
+``anchored_contains`` at every 1-cell of the host; every fitting nonzero
+pattern also gets ``greedy_saturate`` under two seeded visiting orders.  A
+change that keeps every witness leaves the dump byte-identical:
+
+    PYTHONPATH=src python3 scripts/containment_dump.py > new.txt
+    PYTHONPATH=../parent/src python3 scripts/containment_dump.py > old.txt
+    cmp old.txt new.txt
+
+Only the standard library and satmat are used.  --small runs a subset in
+well under a second.
+"""
+
+import argparse
+import random
+
+from satmat import Matrix01, Shape, anchored_contains, contains, greedy_saturate
+
+DENSITIES = (0.3, 0.6, 0.9)
+MAX_EXTENT = {1: 6, 2: 5, 3: 4, 4: 3}
+ORDER_SEEDS = (1, 2)
+
+
+def instances(count):
+    """(host, pattern) pairs of equal dimension; some patterns do not fit."""
+    rng = random.Random(1)
+    out = []
+    for i in range(count):
+        d = 1 + i % 4
+        host = Shape(tuple(rng.randrange(1, MAX_EXTENT[d] + 1) for _ in range(d)))
+        pattern = Shape(tuple(rng.randrange(1, 4) for _ in range(d)))
+        density = DENSITIES[i // 4 % len(DENSITIES)]
+        bits = sum(
+            1 << c for c in range(host.cell_count) if rng.random() < density
+        )
+        out.append(
+            (
+                Matrix01(host, bits),
+                Matrix01(pattern, rng.randrange(1 << pattern.cell_count)),
+            )
+        )
+    return out
+
+
+def selections(emb):
+    return None if emb is None else emb.selections
+
+
+def rows(m, p):
+    host = (m.shape.extents, m.bits)
+    pat = (p.shape.extents, p.bits)
+    yield ("contains", host, pat, selections(contains(m, p)))
+    for a in m.iter_ones():
+        yield ("anchored", host, pat, a, selections(anchored_contains(m, p, a)))
+    if p.weight and m.shape.fits(p.shape):
+        for seed in ORDER_SEEDS:
+            order = list(m.shape.cells())
+            random.Random(seed).shuffle(order)
+            g = greedy_saturate(p, m.shape, order)
+            yield ("greedy", pat, m.shape.extents, seed, g.bits)
+
+
+def dump(small):
+    for m, p in instances(40 if small else 2000):
+        for row in rows(m, p):
+            yield repr(row)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--small", action="store_true", help="a sub-second subset")
+    args = ap.parse_args(argv)
+    for text in dump(args.small):
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

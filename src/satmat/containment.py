@@ -2,22 +2,30 @@
 
 A host M contains a pattern P when we can pick a strictly increasing index
 selection per dimension such that every 1-entry of P maps to a 1-entry of M
-(extra host 1s are weakened to 0s for free).  The search below enumerates
-selections for dimensions 1..d-1 in lexicographic order and closes the last
-dimension with a leftmost-greedy scan over per-index candidate bitmasks, so
-the first witness found is the lexicographically least selection vector.
+(extra host 1s are weakened to 0s for free).  The search below picks the
+indices of the prefix dimensions 1..d-1 one rank at a time, in ascending
+order, and keeps one candidate bitmask of last-dimension indices per pattern
+column.  Each rank of dimension d-1 completes the pattern's prefixes (the
+first d-1 coordinates of its 1-entries) of that rank, and their host lines
+narrow the masks of their columns.  A leftmost-greedy scan of the masks then
+decides whether the last dimension can still be picked: if even these
+partial masks admit no ascending pick, the branch is cut.  The last rank's
+scan closes the last dimension, and the picks run in lexicographic order,
+so the first witness found is the lexicographically least selection vector.
 Anchored variants pin one host index per dimension at a prescribed rank,
 which is what "the new copy must use the flipped cell" amounts to; every
 anchored question (``anchored_contains``, ``potentially_matches``, the
 per-flip saturation verdicts, the greedy construction) goes through the one
-pinned search ``_pinned_hits``.  Questions about every selection at once
-see the selections in one lexicographic order, in one of two layouts: the
-exact search tables and ``enumerate_embeddings`` consume
-``iter_image_masks``, one image mask per selection, and the sweep verdicts
-read ``image_columns``, the same table stored cell-major (per host cell,
-one bit per selection).  That table is built either one step per
-(selection, pattern 1-entry) or one big-int product per (pattern prefix,
-host cell) from per-dimension Kronecker products, whichever has fewer.
+pinned search ``_pinned_hits``, which caps each pinned search strictly below
+the hit before it, so its last hit is the least anchored one.  Questions
+about every selection at once see the selections in one lexicographic
+order, in one of two layouts: the exact search tables and
+``enumerate_embeddings`` consume ``iter_image_masks``, one image mask per
+selection, and the sweep verdicts read ``image_columns``, the same table
+stored cell-major (per host cell, one bit per selection).  That table is
+built either one step per (selection, pattern 1-entry) or one big-int
+product per (pattern prefix, host cell) from per-dimension Kronecker
+products, whichever has fewer.
 
 Pure functions over immutable values throughout.
 """
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import comb, prod
-from operator import mul, or_
+from operator import getitem, mul, or_
 from typing import Iterator
 
 from .core import Coord, Matrix01, Shape, _recursion_ceiling
@@ -80,10 +88,12 @@ def _check_dims(host: Shape, p: Matrix01) -> None:
 # ---------------------------------------------------------------------------
 # Pattern metadata: 1-entries grouped by their last coordinate, with the
 # distinct (d-1)-dimensional prefixes interned so the kernel can AND host
-# line masks per last-coordinate group.
+# line masks per last-coordinate group.  Both tables are kept per pattern.
+
+_per_pattern = lru_cache(maxsize=512)
 
 
-@lru_cache(maxsize=512)
+@_per_pattern
 def _pattern_meta(p: Matrix01):
     d = p.shape.d
     prefix_ids: dict[tuple[int, ...], int] = {}
@@ -99,84 +109,177 @@ def _pattern_meta(p: Matrix01):
     return prefixes, tuple(tuple(g) for g in by_last), tuple(ones)
 
 
-def _dim_selections(n: int, l: int, pin):
-    """0-based ascending selections of l indices from range(n), lex order.
+@_per_pattern
+def _rank_groups(p: Matrix01):
+    """The pattern's prefixes grouped by the rank that completes them.
 
-    ``pin=(rank, idx)`` restricts to selections holding ``idx`` at position
-    ``rank``; the restricted stream is still lexicographic.  Pins come from
-    ``_pinned_hits``, which passes only feasible ones.
+    ``_search`` resolves a prefix when it picks the index of the prefix's
+    last coordinate, its rank in the last prefix dimension (the one prefix
+    of a 1-D pattern at rank 0 of a dimension of extent 1).  Returns the
+    distinct earlier parts ``outers`` of the prefixes and, per rank, the
+    least and the greatest pattern column holding a 1 of a prefix it
+    completes, with each such prefix's position in ``outers`` and the
+    columns of its 1s.
     """
-    if pin is None:
-        return combinations(range(n), l)
-    rank, idx = pin
+    prefixes, by_last, _ = _pattern_meta(p)
+    cols_of: list[list[int]] = [[] for _ in prefixes]
+    for c, group in enumerate(by_last):
+        for pid in group:
+            cols_of[pid].append(c)
+    d = p.shape.d
+    outers: dict[tuple[int, ...], int] = {}
+    ranks = [[len(by_last), 0, []] for _ in range(p.shape.extents[-2] if d > 1 else 1)]
+    for pf, cols in zip(prefixes, cols_of):
+        rank = ranks[pf[-1] if pf else 0]
+        rank[0] = min(rank[0], cols[0])
+        rank[1] = max(rank[1], cols[-1])
+        rank[2].append((outers.setdefault(pf[:-1], len(outers)), tuple(cols)))
+    return tuple(outers), tuple((lo, hi, tuple(g)) for lo, hi, g in ranks)
 
-    def gen():
-        for lo in combinations(range(idx), rank):
-            for hi in combinations(range(idx + 1, n), l - rank - 1):
-                yield lo + (idx,) + hi
 
-    return gen()
+def _scan(masks, picks, first, last):
+    """The leftmost-greedy ascending pick of one index per mask, or None.
+
+    ``picks`` is that pick for masks that differ from ``masks`` only in
+    columns ``first`` to ``last``, where they hold more indices.  A
+    column's pick depends only on the masks up to it, and picks only move
+    right as masks shrink, so the scan starts at ``first`` and stops at the
+    first column from ``last`` on whose pick has not moved.
+    """
+    out = picks[:first]
+    pos = out[-1] + 1 if first else 0
+    for c in range(first, len(masks)):
+        mm = masks[c] >> pos
+        if not mm:
+            return None
+        pos += (mm & -mm).bit_length()
+        if pos == picks[c] + 1 and c >= last:
+            return out + picks[c:]
+        out.append(pos - 1)
+    return out
 
 
-def _search(lines, n_ext, l_ext, prefixes, by_last, pins):
-    """Core lexicographic search; returns 0-based selections or None.
+def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
+    """Lexicographically least 0-based selection vector, or None.
 
-    ``lines`` maps each (d-1)-prefix flat index of the host to the bitmask of
-    its cells along the last dimension.  ``pins`` is None or a per-dimension
-    tuple of (rank, index) pins.
+    ``lines`` maps each (d-1)-prefix flat index of the host to the bitmask
+    of its cells along the last dimension, and ``rank_groups`` comes from
+    ``_rank_groups``.  ``pins`` is None or a per-dimension tuple of
+    (rank, index) pins; ``below`` is None or a selection vector the answer
+    must be strictly less than.
+
+    The indices of the prefix dimensions 0..d-2 are picked one rank at a
+    time, in ascending index order: one frame per dimension runs an
+    odometer over its ranks, and a pin or ``below`` only narrows each
+    rank's range.  The last dimension's allowed indices start as one mask
+    per pattern column.  Each rank r of dimension d-2 completes the pattern
+    prefixes of rank r: it ANDs their host lines into the masks of their
+    1s' columns and rescans the last dimension leftmost-greedily on the
+    masks so far (``_scan``).  The scan is exact for these partial masks, a
+    relaxation with fewer lines, so when it fails no extension can close
+    and the branch is cut; the last rank's scan is the close.  Picks run in
+    lexicographic order of the selection vector and cuts drop only empty
+    subtrees, so the first answer is the least.  A 1-D search is run as
+    the search of a 1 × n host.
     """
     d = len(n_ext)
+    if d == 1:
+        sel = _search(
+            lines,
+            (1, *n_ext),
+            (1, *l_ext),
+            rank_groups,
+            pins and ((0, 0), *pins),
+            below and ((0,), *below),
+        )
+        return sel and sel[1:]
     n_last, l_last = n_ext[-1], l_ext[-1]
-    pstr = [1] * (d - 1)
-    for i in range(d - 3, -1, -1):
-        pstr[i] = pstr[i + 1] * n_ext[i + 1]
+    outers, ranks = rank_groups
     # last-dimension indices each pattern column may take; a pin keeps the
-    # columns before its rank below the pinned index
+    # columns before its rank below the pinned index; ``least`` is their
+    # leftmost-greedy pick
     allow = [(1 << n_last) - 1] * l_last
+    least = list(range(l_last))
     if pins is not None:
         prank, pidx = pins[-1]
         allow[:prank] = [(1 << pidx) - 1] * prank
         allow[prank] = 1 << pidx
-    sel: list[tuple[int, ...]] = [()] * (d - 1)
+        least[prank:] = range(pidx, pidx + l_last - prank)
+    # strides of the (d-1)-prefixes of the host
+    pstr = [prod(n_ext[k + 1 : -1]) for k in range(d - 1)]
+    sel = [[0] * l for l in l_ext[:-1]]
+    # per rank of dimension d-2: the masks and their pick after it
+    masks = [allow] + [None] * l_ext[-2]
+    picks = [least] + [None] * l_ext[-2]
 
-    def close_last():
-        flats = []
-        for pf in prefixes:
-            f = 0
-            for k in range(d - 1):
-                f += sel[k][pf[k]] * pstr[k]
-            flats.append(f)
-        out = []
-        pos = 0
-        for c in range(l_last):
-            mask = allow[c]
-            for pid in by_last[c]:
-                mask &= lines[flats[pid]]
-                if not mask:
-                    return None
-            mm = mask >> pos
-            if not mm:
-                return None
-            y = pos + ((mm & -mm).bit_length() - 1)
-            out.append(y)
-            pos = y + 1
-        return tuple(out)
+    def pick(i, tied):
+        """Pick the indices of dimension i and of every later dimension.
 
-    def rec(i):
-        if i == d - 1:
-            return close_last()
-        pin = pins[i] if pins is not None else None
-        for choice in _dim_selections(n_ext[i], l_ext[i], pin):
-            sel[i] = choice
-            r = rec(i + 1)
-            if r is not None:
-                return r
+        Rank r may take indices up to n - l + r; a pin (pr, px) fixes rank
+        pr at px and keeps rank r < pr at most px - pr + r.  ``tied`` tells
+        whether the picks so far equal ``below``'s; a rank picked while
+        tied may not exceed below's index.
+        """
+        l = l_ext[i]
+        slack = n_ext[i] - l
+        pr, px = pins[i] if pins is not None else (-1, 0)
+        xs = sel[i]
+        top = below[i] if tied else None
+        tie_at = [tied] * (l + 1)
+        cut = i == d - 2
+        if cut:
+            # host line offset of each prefix's earlier part
+            base = [sum(map(mul, map(getitem, sel, o), pstr)) for o in outers]
+        r = 0
+        xs[0] = px - 1 if pr == 0 else -1
+        while r >= 0:
+            x = xs[r] + 1
+            h = (px - pr if r <= pr else slack) + r
+            tie = tie_at[r]
+            if tie and top[r] < h:
+                h = top[r]
+            if x > h:
+                r -= 1
+                continue
+            xs[r] = x
+            tie_at[r + 1] = tie and x == top[r]
+            if cut:
+                first, last, group = ranks[r]
+                m = masks[r]
+                ys = picks[r]
+                if group:
+                    # the pick stays wherever the new lines keep it
+                    m = m[:]
+                    moved = False
+                    for oid, cols in group:
+                        line = lines[base[oid] + x]
+                        for c in cols:
+                            m[c] &= line
+                            if not line >> ys[c] & 1:
+                                moved = True
+                    if moved:
+                        ys = _scan(m, ys, first, last)
+                        if ys is None:
+                            continue
+                masks[r + 1] = m
+                picks[r + 1] = ys
+            if r < l - 1:
+                r += 1
+                xs[r] = px - 1 if r == pr else x
+                continue
+            if cut:
+                if not tie_at[l] or tuple(ys) < below[-1]:
+                    return ys
+            else:
+                ys = pick(i + 1, tie_at[l])
+                if ys is not None:
+                    return ys
         return None
 
-    last = rec(0)
-    if last is None:
+    close = pick(0, below is not None)
+    if close is None:
         return None
-    return tuple(sel) + (last,)
+    return tuple(map(tuple, sel)) + (tuple(close),)
 
 
 def _to_embedding(sel0) -> Embedding:
@@ -197,34 +300,36 @@ def contains(m: Matrix01, p: Matrix01) -> Embedding | None:
     _check_dims(m.shape, p)
     if not m.shape.fits(p.shape):
         return None
-    prefixes, by_last, _ = _pattern_meta(p)
-    sel = _search(
-        m._last_lines, m.shape.extents, p.shape.extents, prefixes, by_last, None
-    )
+    groups = _rank_groups(p)
+    sel = _search(m._last_lines, m.shape.extents, p.shape.extents, groups)
     return None if sel is None else _to_embedding(sel)
 
 
 def _pinned_hits(lines, n_ext, p: Matrix01, anchor: Coord, entries=None):
-    """Yield the least 0-based selection for each pinnable pattern 1-entry.
+    """Yield ever smaller 0-based selections, each pinning one pattern 1-entry.
 
     The only caller of ``_search`` with pins.  ``lines`` is a host line
     table, ``anchor`` a 1-based host cell, and ``entries`` the 0-based
     pattern 1-entries to pin at the anchor (default: all, row-major).  An
     entry is pinnable when, in every dimension, the pattern cells before and
     after it fit on either side of the anchor; a pattern that does not fit
-    the host has no pinnable entry.  The first hit answers existence; the
-    least hit is the least anchored embedding.
+    the host has no pinnable entry.  Each pinned search is capped strictly
+    below the last hit, so the first hit answers existence and the last is
+    the least anchored embedding.
     """
     l_ext = p.shape.extents
-    prefixes, by_last, ones = _pattern_meta(p)
+    ones = _pattern_meta(p)[2]
+    groups = _rank_groups(p)
+    best = None
     for o0 in ones if entries is None else entries:
         pins = tuple((r, a - 1) for r, a in zip(o0, anchor))
         if all(
             r <= a and l - r <= n - a
             for (r, a), l, n in zip(pins, l_ext, n_ext)
         ):
-            sel = _search(lines, n_ext, l_ext, prefixes, by_last, pins)
+            sel = _search(lines, n_ext, l_ext, groups, pins, best)
             if sel is not None:
+                best = sel
                 yield sel
 
 
@@ -243,8 +348,9 @@ def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | No
         raise ValueError(f"anchor {anchor} out of bounds")
     if not m.get(anchor):
         raise ValueError(f"anchor {anchor} is a 0-entry")
-    hits = _pinned_hits(m._last_lines, m.shape.extents, p, anchor)
-    best = min(hits, default=None)
+    best = None
+    for best in _pinned_hits(m._last_lines, m.shape.extents, p, anchor):
+        pass
     return None if best is None else _to_embedding(best)
 
 

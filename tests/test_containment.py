@@ -1,4 +1,6 @@
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given
@@ -50,6 +52,11 @@ def with_builder_examples(test):
 
 def as_embedding(sels):
     return Embedding(tuple(tuple(s) for s in sels))
+
+
+def random_matrix(rng, shape, density):
+    bits = sum(1 << c for c in range(shape.cell_count) if rng.random() < density)
+    return Matrix01(shape, bits)
 
 
 class TestContains:
@@ -151,6 +158,37 @@ class TestAnchored:
             got = anchored_contains(m, p, anchor)
             want = oracles.brute_anchored(m, p, anchor)
             assert (got and got.selections) == want
+
+
+class TestKernelAtScale:
+    @pytest.mark.parametrize("extents", [(3000, 1), (3000,)])
+    def test_long_all_one_pattern_in_itself(self, extents):
+        # 3000 ranks in one dimension: the kernel picks them in a loop, so
+        # they cost no stack
+        m = Matrix01.filled(Shape(extents))
+        whole = as_embedding(tuple(range(1, n + 1)) for n in extents)
+        start = time.perf_counter()
+        assert contains(m, m) == whole
+        assert anchored_contains(m, m, extents) == whole
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "d, max_extent, count", [(2, 5, 300), (3, 5, 150), (4, 3, 150)]
+    )
+    def test_seeded_larger_hosts_agree_with_brute_force(self, d, max_extent, count):
+        # pins at inner ranks and cuts at middle ranks, which hosts of at
+        # most 12 cells barely reach
+        rng = random.Random(d)
+        for i in range(count):
+            density = (0.3, 0.6, 0.9)[i % 3]
+            host = Shape(tuple(rng.randint(2, max_extent) for _ in range(d)))
+            m = random_matrix(rng, host, density)
+            p = random_matrix(rng, Shape(tuple(rng.randint(1, 3) for _ in range(d))), 0.4)
+            got = contains(m, p)
+            assert (got and got.selections) == oracles.brute_contains(m, p)
+            for anchor in m.iter_ones():
+                got = anchored_contains(m, p, anchor)
+                assert (got and got.selections) == oracles.brute_anchored(m, p, anchor)
 
 
 class TestPotentiallyMatches:

@@ -47,3 +47,15 @@ def test_verdict_dump_small(capsys):
     assert {r[0] for r in rows} == {"sweep", "per-flip"}
     # (path, verdict, host, pattern, verdict, failure kind, counterexample)
     assert all(len(r) == 7 and isinstance(r[4], bool) for r in rows)
+
+
+def test_containment_dump_small(capsys):
+    main = runpy.run_path(str(SCRIPTS / "containment_dump.py"))["main"]
+    assert main(["--small"]) == 0
+    rows = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
+    assert {r[0] for r in rows} == {"contains", "anchored", "greedy"}
+    # (kind, host or pattern, ..., witness): a contains row has 4 fields,
+    # an anchored row 5 and a greedy row 5
+    width = {"contains": 4, "anchored": 5, "greedy": 5}
+    assert all(len(r) == width[r[0]] for r in rows)
+    assert {len(r[1][0]) for r in rows} == {1, 2, 3, 4}
