@@ -117,9 +117,8 @@ def _rank_groups(p: Matrix01):
     last coordinate, its rank in the last prefix dimension (the one prefix
     of a 1-D pattern at rank 0 of a dimension of extent 1).  Returns the
     distinct earlier parts ``outers`` of the prefixes and, per rank, the
-    least and the greatest pattern column holding a 1 of a prefix it
-    completes, with each such prefix's position in ``outers`` and the
-    columns of its 1s.
+    least pattern column holding a 1 of a prefix it completes, with each
+    such prefix's position in ``outers`` and the columns of its 1s.
     """
     prefixes, by_last, _ = _pattern_meta(p)
     cols_of: list[list[int]] = [[] for _ in prefixes]
@@ -128,23 +127,20 @@ def _rank_groups(p: Matrix01):
             cols_of[pid].append(c)
     d = p.shape.d
     outers: dict[tuple[int, ...], int] = {}
-    ranks = [[len(by_last), 0, []] for _ in range(p.shape.extents[-2] if d > 1 else 1)]
+    ranks = [[len(by_last), []] for _ in range(p.shape.extents[-2] if d > 1 else 1)]
     for pf, cols in zip(prefixes, cols_of):
         rank = ranks[pf[-1] if pf else 0]
         rank[0] = min(rank[0], cols[0])
-        rank[1] = max(rank[1], cols[-1])
-        rank[2].append((outers.setdefault(pf[:-1], len(outers)), tuple(cols)))
-    return tuple(outers), tuple((lo, hi, tuple(g)) for lo, hi, g in ranks)
+        rank[1].append((outers.setdefault(pf[:-1], len(outers)), tuple(cols)))
+    return tuple(outers), tuple((first, tuple(g)) for first, g in ranks)
 
 
-def _scan(masks, picks, first, last):
+def _scan(masks, picks, first):
     """The leftmost-greedy ascending pick of one index per mask, or None.
 
-    ``picks`` is that pick for masks that differ from ``masks`` only in
-    columns ``first`` to ``last``, where they hold more indices.  A
-    column's pick depends only on the masks up to it, and picks only move
-    right as masks shrink, so the scan starts at ``first`` and stops at the
-    first column from ``last`` on whose pick has not moved.
+    ``picks`` is that pick for masks that differ from ``masks`` only from
+    column ``first`` on.  A column's pick depends only on the masks up to
+    it, so the scan starts at ``first``.
     """
     out = picks[:first]
     pos = out[-1] + 1 if first else 0
@@ -153,8 +149,6 @@ def _scan(masks, picks, first, last):
         if not mm:
             return None
         pos += (mm & -mm).bit_length()
-        if pos == picks[c] + 1 and c >= last:
-            return out + picks[c:]
         out.append(pos - 1)
     return out
 
@@ -174,10 +168,11 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
     rank's range.  The last dimension's allowed indices start as one mask
     per pattern column.  Each rank r of dimension d-2 completes the pattern
     prefixes of rank r: it ANDs their host lines into the masks of their
-    1s' columns and rescans the last dimension leftmost-greedily on the
-    masks so far (``_scan``).  The scan is exact for these partial masks, a
-    relaxation with fewer lines, so when it fails no extension can close
-    and the branch is cut; the last rank's scan is the close.  Picks run in
+    1s' columns and, if a line drops a current pick, rescans the last
+    dimension leftmost-greedily on the masks so far (``_scan``).  The scan
+    is exact for these partial masks, a relaxation with fewer lines, so
+    when it fails no extension can close and the branch is cut; the last
+    rank's picks are the close.  Picks run in
     lexicographic order of the selection vector and cuts drop only empty
     subtrees, so the first answer is the least.  A 1-D search is run as
     the search of a 1 × n host.
@@ -244,11 +239,12 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
             xs[r] = x
             tie_at[r + 1] = tie and x == top[r]
             if cut:
-                first, last, group = ranks[r]
+                first, group = ranks[r]
                 m = masks[r]
                 ys = picks[r]
                 if group:
-                    # the pick stays wherever the new lines keep it
+                    # masks only shrink, so picks the new lines keep are
+                    # still the least; rescan only if one is dropped
                     m = m[:]
                     moved = False
                     for oid, cols in group:
@@ -258,7 +254,7 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
                             if not line >> ys[c] & 1:
                                 moved = True
                     if moved:
-                        ys = _scan(m, ys, first, last)
+                        ys = _scan(m, ys, first)
                         if ys is None:
                             continue
                 masks[r + 1] = m

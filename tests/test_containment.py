@@ -163,8 +163,8 @@ class TestAnchored:
 class TestKernelAtScale:
     @pytest.mark.parametrize("extents", [(3000, 1), (3000,)])
     def test_long_all_one_pattern_in_itself(self, extents):
-        # 3000 ranks in one dimension: the kernel picks them in a loop, so
-        # they cost no stack
+        # 3000 ranks of a prefix dimension, picked in a loop at no stack
+        # cost, or 3000 columns of the last dimension
         m = Matrix01.filled(Shape(extents))
         whole = as_embedding(tuple(range(1, n + 1)) for n in extents)
         start = time.perf_counter()

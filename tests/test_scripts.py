@@ -54,8 +54,8 @@ def test_containment_dump_small(capsys):
     assert main(["--small"]) == 0
     rows = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
     assert {r[0] for r in rows} == {"contains", "anchored", "greedy"}
-    # (kind, host or pattern, ..., witness): a contains row has 4 fields,
-    # an anchored row 5 and a greedy row 5
+    # ("contains", host, pattern, witness), ("anchored", host, pattern,
+    # anchor, witness) and ("greedy", pattern, extents, seed, bits)
     width = {"contains": 4, "anchored": 5, "greedy": 5}
     assert all(len(r) == width[r[0]] for r in rows)
     assert {len(r[1][0]) for r in rows} == {1, 2, 3, 4}
