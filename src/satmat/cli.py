@@ -250,12 +250,9 @@ def _add_shared(p: argparse.ArgumentParser, *, suppress: bool) -> None:
     p.add_argument("--budget-cells", type=int, help="host cell cap for exact searches", **kw)
     p.add_argument("--budget-seconds", type=float, help="wall-clock cap for exact searches", **kw)
     p.add_argument("--seed", type=int, help="seed for pseudo-random greedy cell order", **kw)
-    if suppress:
-        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                       help="JSON output for construct/table")
-    else:
-        p.add_argument("--json", action="store_true", default=False,
-                       help="JSON output for construct/table")
+    p.add_argument("--json", action="store_true",
+                   default=argparse.SUPPRESS if suppress else False,
+                   help="JSON output for construct/table")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,12 +18,12 @@ anchored question (``anchored_contains``, ``potentially_matches``, the
 per-flip saturation verdicts, the greedy construction) goes through the one
 pinned search ``_pinned_hits``, which caps each pinned search strictly below
 the hit before it, so its last hit is the least anchored one.  Questions
-about every selection at once see the selections in one lexicographic
-order, in one of two layouts: the exact search tables and
-``enumerate_embeddings`` consume ``iter_image_masks``, one image mask per
-selection, and the sweep verdicts read ``image_columns``, the same table
-stored cell-major (per host cell, one bit per selection).  That table is
-built either one step per (selection, pattern 1-entry) or one big-int
+about every selection at once walk the selections in lexicographic
+selection order (``image_offsets``): the exact search tables and
+``enumerate_embeddings`` take each selection's image as it comes, and the
+sweep verdicts read ``image_columns``, the images stored cell-major (per
+host cell, one bit per selection).  That table is built either from the
+same walk, one step per (selection, pattern 1-entry), or one big-int
 product per (pattern prefix, host cell) from per-dimension Kronecker
 products, whichever has fewer.
 
@@ -37,7 +37,6 @@ from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import comb, prod
 from operator import getitem, mul, or_
-from typing import Iterator
 
 from .core import Coord, Matrix01, Shape, _recursion_ceiling
 
@@ -366,7 +365,7 @@ def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:
 
 # ---------------------------------------------------------------------------
 # Whole-embedding enumeration.  Over the all-one host every selection is an
-# embedding; ``iter_image_masks`` turns selections into their 1-entry images
+# embedding; ``image_offsets`` walks the selections and their 1-entry images
 # one by one, for the exact searches and ``enumerate_embeddings``, and
 # ``image_columns`` holds the same images cell-major, for the sweep verdicts.
 
@@ -378,49 +377,28 @@ def embeddings_count(host_shape: Shape, p: Matrix01) -> int:
     return prod(comb(n, l) for n, l in zip(host_shape.extents, p.shape.extents))
 
 
-def iter_image_masks(host_shape: Shape, p: Matrix01) -> Iterator[int]:
-    """Bitmask of the 1-entry image of every selection, lexicographic order.
+def image_offsets(host_shape: Shape, p: Matrix01) -> list[list[tuple[int, ...]]]:
+    """Per dimension and selection, the host offsets of p's 1-entries.
 
-    The k-th mask belongs to the k-th selection of the product, over the
-    dimensions, of 0-based ``combinations(range(n_i), l_i)``.  Each
-    (d-1)-dimensional prefix selection gets one partial mask per
-    last-coordinate group of pattern 1s, with the group's cells at last
-    index 0; each last-dimension selection then shifts every group's
-    partial mask to its chosen index and ORs them.  A pattern that does not
-    fit yields nothing; an all-zero pattern yields one 0 per selection.
+    Entry ``[i][a]`` holds, for the a-th selection ``sel`` of the 0-based
+    ``combinations(range(n_i), l_i)``, the offset ``sel[o[i]] * stride_i``
+    of each 0-based 1-entry o of p, in row-major order.  The k-th element
+    of ``product(*offsets)`` is the k-th selection vector in lexicographic
+    selection order, the order of every selection table and enumeration
+    here, and ``map(sum, zip(*offs))`` gives the flat host cells of its
+    image, one per 1-entry.  A pattern that does not fit has no selections:
+    then every list is empty, since ``product`` would build the other
+    dimensions' lists in full before meeting the empty one.
     """
-    if host_shape.d != p.shape.d:
-        raise ValueError("dimension mismatch")
     if not host_shape.fits(p.shape):
-        return
-    prefixes, by_last, _ = _pattern_meta(p)
-    *n_pre, n_last = host_shape.extents
-    *l_pre, l_last = p.shape.extents
-    strides = host_shape.strides
-    # per prefix dimension and selection: host offset of every distinct prefix
-    offsets = [
-        [
-            tuple(sel[pf[i]] * strides[i] for pf in prefixes)
-            for sel in combinations(range(n), l)
-        ]
-        for i, (n, l) in enumerate(zip(n_pre, l_pre))
+        return [[] for _ in host_shape.extents]
+    ones = _pattern_meta(p)[2]
+    return [
+        [tuple(sel[o[i]] * stride for o in ones) for sel in combinations(range(n), l)]
+        for i, (n, l, stride) in enumerate(
+            zip(host_shape.extents, p.shape.extents, host_shape.strides)
+        )
     ]
-    groups = [(c, group) for c, group in enumerate(by_last) if group]
-    last_sels = list(combinations(range(n_last), l_last))
-    pids = range(len(prefixes))
-    for offs in product(*offsets):
-        cell = [1 << sum(o[j] for o in offs) for j in pids]
-        partial = []
-        for c, group in groups:
-            g = 0
-            for j in group:
-                g |= cell[j]
-            partial.append((c, g))
-        for t in last_sels:
-            e = 0
-            for c, g in partial:
-                e |= g << t[c]
-            yield e
 
 
 def _index_sets(n: int, l: int, stride: int, owners, count: int) -> list[list[int]]:
@@ -428,11 +406,10 @@ def _index_sets(n: int, l: int, stride: int, owners, count: int) -> list[list[in
 
     ``owners[r]`` lists the owners, below ``count``, of rank r.  Entry
     ``[o][x]`` has bit ``a * stride`` set iff the a-th of the 0-based
-    ``combinations(range(n), l)``, in lexicographic order, holds x at a rank
-    that o owns.  With ``stride`` the number of selections of the later
-    dimensions, a product of entries over the dimensions is their Kronecker
-    product: its bits are the selection vectors in ``iter_image_masks``
-    order.
+    ``combinations(range(n), l)`` holds x at a rank that o owns.  With
+    ``stride`` the number of selections of the later dimensions, a product
+    of entries over the dimensions is their Kronecker product: its bits are
+    the selection vectors in lexicographic selection order.
 
     Setting a bit copies the whole int, so the sets are built a window of
     ``span`` selections at a time, a whole number of bytes wide, and the
@@ -478,20 +455,11 @@ def _kron(a, b):
 def _transposed(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     """The selection table built one step per (selection, 1-entry of p).
 
-    Per dimension and selection, the host offsets of every 1-entry's index
-    in that dimension; the cells of a selection vector's image are the
-    sums of its offsets, one per 1-entry.  Only the columns are held.
+    Only the columns are held.
     """
-    ones = _pattern_meta(p)[2]
-    offsets = [
-        [tuple(sel[o[i]] * stride for o in ones) for sel in combinations(range(n), l)]
-        for i, (n, l, stride) in enumerate(
-            zip(host_shape.extents, p.shape.extents, host_shape.strides)
-        )
-    ]
     cols = [0] * host_shape.cell_count
     bit = 1
-    for offs in product(*offsets):
+    for offs in product(*image_offsets(host_shape, p)):
         for c in map(sum, zip(*offs)):
             cols[c] |= bit
         bit <<= 1
@@ -534,10 +502,10 @@ def _kronecker(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
 def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     """The selection table, cell-major: per host cell, the selections using it.
 
-    Bit k of entry c is set iff the 1-entry image of the k-th selection of
-    ``iter_image_masks`` holds host cell c, so k = P * R + t for the prefix
-    selection P, the last-dimension selection t and R selections of the
-    last dimension.  A pattern that does not fit, or has no 1, has an
+    Bit k of entry c is set iff the 1-entry image of the k-th selection, in
+    lexicographic selection order, holds host cell c, so k = P * R + t for
+    the prefix selection P, the last-dimension selection t and R selections
+    of the last dimension.  A pattern that does not fit, or has no 1, has an
     all-zero table.  Of the two builds the one with fewer steps runs:
     ``_transposed`` takes a step per (selection, 1-entry of p) and
     ``_kronecker`` a big-int product and OR per (distinct prefix of p's
@@ -566,7 +534,7 @@ def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
 
 
 def _embedding_at(host_shape: Shape, p_shape: Shape, k: int) -> Embedding:
-    """The k-th selection in ``iter_image_masks`` order, as an Embedding."""
+    """The k-th selection in lexicographic selection order, as an Embedding."""
     sels = []
     for n, l in zip(reversed(host_shape.extents), reversed(p_shape.extents)):
         k, a = divmod(k, comb(n, l))
@@ -598,12 +566,13 @@ def enumerate_embeddings(
         raise ValueError(
             f"{total} candidate selections exceeds the enumeration cap {limit}"
         )
-    inv = m.shape.full_mask ^ m.bits
+    # whether each host cell, in flat row-major order, is a 1
+    is_one = [b == "1" for b in reversed(f"{m.bits:0{m.shape.cell_count}b}")]
     sels = product(
         *(combinations(range(n), l) for n, l in zip(m.shape.extents, p.shape.extents))
     )
     return [
         _to_embedding(sel)
-        for e, sel in zip(iter_image_masks(m.shape, p), sels)
-        if not e & inv
+        for offs, sel in zip(product(*image_offsets(m.shape, p)), sels)
+        if all(map(is_one.__getitem__, map(sum, zip(*offs))))
     ]

@@ -58,13 +58,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .constructions import (
     diagonal_concatenation,
     has_corner_only_shell,
     identity_pattern,
 )
-from .containment import ENUMERATION_LIMIT, embeddings_count, iter_image_masks
+from .containment import ENUMERATION_LIMIT, embeddings_count, image_offsets
 from .core import Matrix01, Shape, _recursion_ceiling, diagonals
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
@@ -175,13 +176,14 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]
     construction, not just the search proper.
     """
     raw_supports: list[list[int]] = [[] for _ in range(shape.cell_count)]
-    for e in iter_image_masks(shape, p):
+    for offs in product(*image_offsets(shape, p)):
         meter.tick()
-        rem = e
-        while rem:
-            low = rem & -rem
-            raw_supports[low.bit_length() - 1].append(e ^ low)
-            rem ^= low
+        cells = [*map(sum, zip(*offs))]
+        e = 0
+        for c in cells:
+            e |= 1 << c
+        for c in cells:
+            raw_supports[c].append(e ^ 1 << c)
     return [list(dict.fromkeys(s)) for s in raw_supports]
 
 

@@ -361,3 +361,16 @@ class TestTable:
             capsys, ["table", "--d", "2", "--k", "2", "--n-lo", "2", "--n-hi", "4"]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["construct", "--kind", "identity-layers", "--shape", "4", "4", "--k", "1", "--json"], "matrix"),
+        (["table", "--d", "2", "--k", "2", "--n-lo", "3", "--n-hi", "4", "--json"], "rows"),
+    ],
+)
+def test_json_after_subcommand(capsys, argv, key):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert key in json.loads(out)

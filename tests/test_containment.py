@@ -22,7 +22,7 @@ from satmat import (
     is_semisaturating,
     potentially_matches,
 )
-from satmat.containment import _kronecker, _transposed, image_columns
+from satmat.containment import _kronecker, _transposed, image_columns, image_offsets
 from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
@@ -249,7 +249,7 @@ class TestEnumeration:
 
     @with_builder_examples
     @given(host_and_pattern())
-    def test_image_masks_match_oracle_selections(self, pair):
+    def test_image_columns_match_oracle(self, pair):
         m, p = pair
         assert image_columns(m.shape, p) == oracle_columns(m.shape, p)
 
@@ -287,6 +287,11 @@ class TestEnumeration:
             if oracles.selection_valid(m, p, sels)
         ]
         assert enumerate_embeddings(m, p) == want
+
+    def test_walk_of_a_pattern_that_does_not_fit_is_empty(self):
+        # no dimension's selections are built, not even those that fit
+        p = Matrix01.filled(Shape((4, 2)))
+        assert image_offsets(Shape((9, 1)), p) == [[], []]
 
     def test_gate(self):
         m = Matrix01.zeros(Shape((40, 40)), cell_limit=None)
