@@ -33,16 +33,16 @@ The search's whole state is four immutable ints (see ``_search``): the next
 cell, a bit per live support, a guard bit per cell not decided 1 with a live
 support, and the bound.  Leaving a cell out and testing a put-in for a copy
 are each one AND with a precomputed row (cells x supports bits in all), and
-the ``ex`` bound and the witness read the guards: nothing is undone.
+the ``ex`` bound and the witness read the guards: nothing is undone.  A child
+whose bound already reaches the best leaf's is counted as a node without a
+call.  The clock is checked on the first node and every ``_TICK`` nodes after.
 
 ``sat`` and ``ex`` also keep a frontier table (see ``_search``), as in
 Knuth's simpath (TAOCP 7.1.4) and the frontier-based search of Kawahara,
 Inoue, Iwashita and Minato (IEICE Trans. 2017).  The row-major search
 reaches the same subproblem by many prefixes, so at line starts it keys a
 node on what the undecided cells can still see and cuts a node whose key
-was already reached at no greater cost.  I2 on 7x7 ``sat`` falls from
-1,570,265 nodes to 26,181, and I2 on 8x8 and on 4x4x4 finish.  ``ssat``
-keeps no table.
+was already reached at no greater cost.  ``ssat`` keeps no table.
 
 Completed searches are deterministic and make one pass with no incumbent:
 cells are decided in row-major order, 0 before 1, every leaf is feasible,
@@ -59,6 +59,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from .constructions import (
     diagonal_concatenation,
@@ -73,17 +74,6 @@ DEFAULT_SSAT_CELLS = 16  # exact_ssat
 
 _TICK = 1024  # nodes between wall-clock checks
 _NONZERO = bytes([0]) + bytes([1]) * 255  # a translate table: nonzero bytes to 1
-
-
-def _future_parts(field: list[int], runs: int, t: int) -> frozenset[int]:
-    """The future parts ``s >> t`` of the supports of ``field`` at the set
-    bits of ``runs``."""
-    return frozenset(s >> t for i, s in enumerate(field) if runs >> i & 1)
-
-
-def _minimal(sets: set[frozenset[int]]) -> list[frozenset[int]]:
-    """The members of ``sets`` that strictly contain no other member."""
-    return [s for s in sets if not any(map(s.__gt__, sets))]
 
 
 class BudgetExceededError(RuntimeError):
@@ -115,28 +105,30 @@ class SearchResult:
 
 
 class _Meter:
-    __slots__ = ("nodes", "node_limit", "deadline", "wake", "wake_at")
+    """Counts nodes: a caller adds one to ``nodes`` and calls ``tick`` only
+    once ``nodes`` reaches ``next_check``, the next node where the node
+    limit, the clock or the wake could act."""
+
+    __slots__ = ("nodes", "next_check", "over", "deadline", "wake", "wake_at")
 
     def __init__(self, budget: SearchBudget):
-        self.nodes = 0
+        self.nodes, self.next_check = 0, 1
         self.wake = None  # called once, at the first clock check from node wake_at
-        self.node_limit = budget.node_limit
-        self.deadline = (
-            time.monotonic() + budget.time_limit
-            if budget.time_limit is not None
-            else None
-        )
+        nodes, secs = budget.node_limit, budget.time_limit
+        self.over = float("inf") if nodes is None else nodes + 1  # the first node past the limit
+        self.deadline = None if secs is None else time.monotonic() + secs
 
     def tick(self):
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
+        if self.nodes >= self.over:
             raise BudgetExceededError("node budget exceeded", self.nodes)
-        # the first tick checks too, so an expired budget stops short searches
+        # the first node checks too, so an expired budget stops short searches
         if self.nodes % _TICK == 1:
             self.check_time()
             if self.wake is not None and self.nodes >= self.wake_at:
                 wake, self.wake = self.wake, None
                 wake()
+        # the next clock check, or the first node past the limit if sooner
+        self.next_check = min(self.nodes - (self.nodes - 1) % _TICK + _TICK, self.over)
 
     def check_time(self):
         """Abort if the time budget has run out; counts no node."""
@@ -146,16 +138,10 @@ class _Meter:
 
 def _check_cells(shape: Shape, budget: SearchBudget, default_cells: int) -> None:
     cap = budget.max_cells if budget.max_cells is not None else default_cells
-    if shape.cell_count > cap:
-        raise BudgetExceededError(
-            f"{shape.cell_count} cells exceeds the budget of {cap}"
-        )
     # the dfs recurses once per host cell
-    ceiling = _recursion_ceiling()
-    if shape.cell_count > ceiling:
-        raise BudgetExceededError(
-            f"{shape.cell_count} cells exceeds the recursion ceiling of {ceiling}"
-        )
+    for what, most in (("budget", cap), ("recursion ceiling", _recursion_ceiling())):
+        if shape.cell_count > most:
+            raise BudgetExceededError(f"{shape.cell_count} cells exceeds the {what} of {most}")
 
 
 def _validate(shape: Shape, p: Matrix01) -> None:
@@ -171,19 +157,26 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]
     supports[z] holds, once each in first-seen order, the bitmasks S (not
     containing z) such that S union {z} is the image of a selection of p.
     Selections are injective, so every S has ``p.weight - 1`` cells and none
-    is a strict superset of another: every support is minimal.  Enumerated
-    selections count against the meter so budgets also bound the table
-    construction, not just the search proper.
+    is a strict superset of another: every support is minimal.  The walk
+    sums the prefix dimensions' offsets once per prefix selection and adds
+    the last dimension's per selection.  Each selection counts as a node, so
+    budgets also bound the table construction, not just the search proper.
     """
     raw_supports: list[list[int]] = [[] for _ in range(shape.cell_count)]
-    for offs in product(*image_offsets(shape, p)):
-        meter.tick()
-        cells = [*map(sum, zip(*offs))]
-        e = 0
-        for c in cells:
-            e |= 1 << c
-        for c in cells:
-            raw_supports[c].append(e ^ 1 << c)
+    *prefix, last = image_offsets(shape, p)
+    zeros = (0,) * p.weight  # the prefix sum of a 1-D host
+    for pre in product(*prefix):
+        firsts = [*map(sum, zip(zeros, *pre))]
+        for offs in last:
+            meter.nodes += 1
+            if meter.nodes >= meter.next_check:
+                meter.tick()
+            cells = [*map(add, firsts, offs)]
+            e = 0
+            for c in cells:
+                e |= 1 << c
+            for c in cells:
+                raw_supports[c].append(e ^ 1 << c)
     return [list(dict.fromkeys(s)) for s in raw_supports]
 
 
@@ -199,7 +192,9 @@ def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) 
 
     def grow(i, chosen, count):
         nonlocal best
-        meter.tick()
+        meter.nodes += 1
+        if meter.nodes >= meter.next_check:
+            meter.tick()
         if count + (length - i) <= best:
             return
         if i == length:
@@ -312,9 +307,11 @@ def _search(
     closed[t]``, a live support of t wholly below t.  ``lb`` bounds every
     leaf's cost below: the 1s plus the forced undecided cells, or the block
     bound.  No call changes its arguments or a table: nothing is undone.  A
-    support table that could exceed ``ENUMERATION_LIMIT`` supports is
-    refused before it is built.  Aborts in the search carry the proven
-    bounds.
+    child is called only while its ``lb`` is below the best cost; one cut
+    by its bound is counted in place, so node counts and aborts stay those
+    of the call.  A support table that could exceed ``ENUMERATION_LIMIT``
+    supports is refused before it is built.  Aborts in the search carry the
+    proven bounds.
 
     The avoiding searches (``sat``, ``ex``) also keep a frontier table at
     the line starts t of ``_frontier_masks``.  Each field holds its supports
@@ -337,8 +334,7 @@ def _search(
     field's live runs.  The table starts at the meter's first clock check
     after ``_TICK`` nodes of branch and bound, and from then on every node
     passes through ``probe``: a search that ends sooner pays nothing for it.
-    ``ssat`` keeps no table and pays nothing: keyed the same way, its small
-    searches (C07's growth instances) visited 5% fewer nodes and ran 11%
+    ``ssat`` keeps no table: keyed the same way, its small searches ran
     slower.  The masks take ``width`` bits per line start, so the table is
     kept only while that is at most ``ENUMERATION_LIMIT`` bits in all, and
     ``probe`` takes one more frame per cell, so only while twice the cells
@@ -402,11 +398,11 @@ def _search(
     best = cc + 1
     best_lives = 0
 
-    def branch(t, live, lives, lb):
+    def branch(t, live, lives, lb):  # called only below the best cost
         nonlocal best, best_lives
-        meter.tick()
-        if lb >= best:
-            return
+        meter.nodes += 1
+        if meter.nodes >= meter.next_check:
+            meter.tick()
         if t == cc:
             best, best_lives = lb, lives
             return
@@ -419,20 +415,29 @@ def _search(
             dead = lives ^ left
             if not dead & g - 1:  # every cell decided 0 keeps a support
                 if maximise:  # a 0 past the quota: its 0s before t reach it
-                    step = (before[t] & lives).bit_count() >= quota[t]
+                    out = lb + ((before[t] & lives).bit_count() >= quota[t])
                 else:  # the undecided cells whose last support died
-                    step = (dead >> g.bit_length()).bit_count()
+                    out = lb + (dead >> g.bit_length()).bit_count()
                 dead = None  # a frame keeps no wide int but its live and lives
-                dfs(t + 1, kept, left, lb + step)
+                if out < best:
+                    dfs(t + 1, kept, left, out)
+                else:  # a child cut by its bound is counted without a call
+                    meter.nodes += 1
+                    if meter.nodes >= meter.next_check:
+                        meter.tick()
             kept = left = dead = None
         # put t in; the decided 1s avoid p, so a new copy would use t and
         # hold a live support of t lying wholly below t
         if require_avoid and live & closed[t]:
             return
-        if free:
-            dfs(t + 1, live, lives ^ g, lb + (not maximise))
-        else:  # forced: lb already counts it
+        if free:  # else forced: lb already counts it
+            lives, lb = lives ^ g, lb + (not maximise)
+        if lb < best:
             dfs(t + 1, live, lives, lb)
+        else:
+            meter.nodes += 1
+            if meter.nodes >= meter.next_check:
+                meter.tick()
 
     dfs = branch
     if frontier:
@@ -466,14 +471,15 @@ def _search(
                         x = int.from_bytes(ones[low:high], "little") >> shift & mask
                         futures = families.get((t, g, x))
                         if futures is None:
-                            futures = _future_parts(sups, x, t)
+                            # the future parts of the supports of the runs in x
+                            futures = frozenset(s >> t for j, s in enumerate(sups) if x >> j & 1)
                             if room > 0:
                                 families[t, g, x] = futures
                                 room -= 1
                         open_sets.add(futures)
                     q = busy.find(1, q + 1)
-            if len(open_sets) > 1:
-                open_sets = _minimal(open_sets)
+            if len(open_sets) > 1:  # drop each set that strictly contains another
+                open_sets = [s for s in open_sets if not any(map(s.__gt__, open_sets))]
             key = (t, runs >> cut, frozenset(open_sets))
             cost = zeros.bit_count() if maximise else t - zeros.bit_count()
             known = table.get(key)
@@ -485,8 +491,10 @@ def _search(
             return False
 
         def probe(t, live, lives, lb):
-            if t in marks and lb < best and seen(t, live, lives):
-                meter.tick()  # a node cut by the table
+            if t in marks and seen(t, live, lives):  # a node cut by the table
+                meter.nodes += 1
+                if meter.nodes >= meter.next_check:
+                    meter.tick()
             else:
                 branch(t, live, lives, lb)
 
@@ -574,26 +582,18 @@ def verify_recurrence(
     more diagonal cell.  Every extent must exceed the matching inner-pattern
     extent, leaving room for the shrunken host on the inner side.
     """
-    if p_prime.weight == 0:
-        raise ValueError("pattern has no 1-entries")
+    _validate(shape, p_prime)
     if not has_corner_only_shell(p_prime):
         raise ValueError("inner pattern must have its corner as only shell 1-entry")
-    if shape.d != p_prime.shape.d:
-        raise ValueError("dimension mismatch")
     if any(n < l + 1 for n, l in zip(shape.extents, p_prime.shape.extents)):
         raise ValueError("host extents leave no room for the outer pattern")
     p = diagonal_concatenation(p_prime, identity_pattern(p_prime.shape.d, 1))
     inner_shape = Shape(tuple(n - 1 for n in shape.extents))
-    boundary = shape.diagonal_count
-    sat_outer = exact_sat(shape, p, budget).value
-    sat_inner = exact_sat(inner_shape, p_prime, budget).value
-    ex_outer = exact_ex(shape, p, budget).value
-    ex_inner = exact_ex(inner_shape, p_prime, budget).value
     return RecurrenceReport(
         shape=shape,
-        boundary=boundary,
-        sat_outer=sat_outer,
-        sat_inner=sat_inner,
-        ex_outer=ex_outer,
-        ex_inner=ex_inner,
+        boundary=shape.diagonal_count,
+        sat_outer=exact_sat(shape, p, budget).value,
+        sat_inner=exact_sat(inner_shape, p_prime, budget).value,
+        ex_outer=exact_ex(shape, p, budget).value,
+        ex_inner=exact_ex(inner_shape, p_prime, budget).value,
     )

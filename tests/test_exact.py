@@ -255,6 +255,27 @@ class TestBudgets:
         assert exact_ssat(at, I2, budget).value == ceiling
 
 
+class TestNodeLimits:
+    @given(host_and_pattern(max_host_cells=12, nonzero=True))
+    def test_a_limit_at_the_node_count_is_exact(self, pair):
+        # N nodes fit a limit of N and abort on node N under N - 1, also
+        # when a child cut by its bound or by the table is the node counted
+        # last; with a clock check every other node the frontier table
+        # starts at once, so its probe and its cuts are counted too
+        shape, p = pair[0].shape, pair[1]
+        for tick in (exact._TICK, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exact, "_TICK", tick)
+                for fn in (exact_ex, exact_sat, exact_ssat):
+                    full = fn(shape, p, SearchBudget(max_cells=12))
+                    n = full.nodes
+                    res = fn(shape, p, SearchBudget(max_cells=12, node_limit=n))
+                    assert (res.value, res.witness, res.nodes) == (full.value, full.witness, n)
+                    with pytest.raises(BudgetExceededError, match="node") as err:
+                        fn(shape, p, SearchBudget(max_cells=12, node_limit=n - 1))
+                    assert err.value.nodes == n, (fn.__name__, tick)
+
+
 class TestSearchTree:
     # (value, nodes) at max_cells=30: a change that reshapes the search tree
     # moves a node count even when every value and witness stays the same
@@ -396,6 +417,10 @@ class TestSupportTables:
     @example((Matrix01.zeros(Shape((2, 2))), I3))  # cannot fit: no supports
     @example((Matrix01.zeros(Shape((3, 4))), Matrix01.filled(Shape((2, 2)))))
     @example((Matrix01.zeros(Shape((2, 2, 3))), identity_pattern(3, 2)))
+    # a 1-D host: no prefix dimension to sum
+    @example((Matrix01.zeros(Shape((5,))), Matrix01.from_nested([1, 0, 1])))
+    # the zero row: distinct selections share an image
+    @example((Matrix01.zeros(Shape((3, 3))), Matrix01.from_nested([[1, 1], [0, 0]])))
     def test_supports_are_images_without_the_cell(self, pair):
         # selections are injective, so every support has weight - 1 cells and
         # none can contain another: deduplication alone leaves them minimal

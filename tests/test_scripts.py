@@ -1,4 +1,5 @@
 import ast
+import re
 import runpy
 from pathlib import Path
 
@@ -59,3 +60,35 @@ def test_containment_dump_small(capsys):
     width = {"contains": 4, "anchored": 5, "greedy": 5}
     assert all(len(r) == width[r[0]] for r in rows)
     assert {len(r[1][0]) for r in rows} == {1, 2, 3, 4}
+
+
+def _files(directory):
+    return {p: p.stat().st_mtime_ns for p in directory.rglob("*")}
+
+
+def test_bench_pairs_smoke(capsys):
+    # one pair of the repo against itself: every metric gets its line, and
+    # no file under satbench/ is written
+    root = SCRIPTS.parent
+    before = _files(root / "satbench")
+    main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    argv = [str(root), str(root), "--workload", "exact_oracles", "--pairs", "1",
+            "--seconds", "0.2", "--smoke"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "pair 1 parent: " in out and "pair 1 change: " in out
+    for metric in ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb", "ok_rate"):
+        assert re.search(rf"^  {metric} +\S+ \[\S+, \S+\] -> .* x\S+  [01]/1$", out, re.M), metric
+    assert _files(root / "satbench") == before
+
+
+def test_bench_pairs_names_a_failed_run(tmp_path, capsys):
+    # a checkout whose benchmark reports a wrong answer
+    (tmp_path / "satbench").mkdir()
+    (tmp_path / "satbench" / "run.py").write_text(
+        'print(\'{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}\')\n'
+    )
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    assert main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2"]) == 1
+    assert "parent run of pair 1: the result is not correct" in capsys.readouterr().err
