@@ -199,6 +199,8 @@ TABLE_DEFAULT_ORACLE_CELLS = 16
 
 
 def cmd_table(args) -> int:
+    if args.k < 1:
+        raise ValueError("--k must be at least 1")
     if args.n_lo > args.n_hi:
         raise ValueError("--n-lo must not exceed --n-hi")
     if args.n_lo < args.k + 1:

@@ -29,13 +29,14 @@ cell t holds a support of t inside the block.  With out_B the cells of
 block B decided 0, every completion leaves out at least
 ``sum_B max(out_B, quota_B)`` cells, and at a leaf that is the 0 count.
 
-The search's whole state is four immutable ints (see ``_search``): the next
-cell, a bit per live support, a guard bit per cell not decided 1 with a live
-support, and the bound.  Leaving a cell out and testing a put-in for a copy
+A node is four immutable ints (see ``_search``): the next cell, a bit per
+live support, a guard bit per cell not decided 1 with a live support, and
+the bound.  The search is one loop over them and a stack of the put-in
+children still to visit.  Leaving a cell out and testing a put-in for a copy
 are each one AND with a precomputed row (cells x supports bits in all), and
-the ``ex`` bound and the witness read the guards: nothing is undone.  A child
-whose bound already reaches the best leaf's is counted as a node without a
-call.  The clock is checked on the first node and every ``_TICK`` nodes after.
+the ``ex`` bound and the witness read the guards: nothing is undone.  Every
+node is counted, a node cut by its bound too.  The clock is checked on the
+first node and every ``_TICK`` nodes after.
 
 ``sat`` and ``ex`` also keep a frontier table (see ``_search``), as in
 Knuth's simpath (TAOCP 7.1.4) and the frontier-based search of Kawahara,
@@ -96,6 +97,12 @@ class SearchBudget:
     time_limit: float | None = None
     node_limit: int | None = None
 
+    def __post_init__(self):
+        for name in ("max_cells", "time_limit", "node_limit"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN compares false too
+                raise ValueError(f"{name} must be None or at least 0, not {value}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -138,7 +145,8 @@ class _Meter:
 
 def _check_cells(shape: Shape, budget: SearchBudget, default_cells: int) -> None:
     cap = budget.max_cells if budget.max_cells is not None else default_cells
-    # the dfs recurses once per host cell
+    # _block_capacity recurses once per cell of a diagonal, and a 1-D host is
+    # one diagonal; the ceiling also bounds the keep rows, cells x width bits
     for what, most in (("budget", cap), ("recursion ceiling", _recursion_ceiling())):
         if shape.cell_count > most:
             raise BudgetExceededError(f"{shape.cell_count} cells exceeds the {what} of {most}")
@@ -306,12 +314,15 @@ def _search(
     0.  While the 1s avoid p, putting t in completes a copy iff ``live &
     closed[t]``, a live support of t wholly below t.  ``lb`` bounds every
     leaf's cost below: the 1s plus the forced undecided cells, or the block
-    bound.  No call changes its arguments or a table: nothing is undone.  A
-    child is called only while its ``lb`` is below the best cost; one cut
-    by its bound is counted in place, so node counts and aborts stay those
-    of the call.  A support table that could exceed ``ENUMERATION_LIMIT``
-    supports is refused before it is built.  Aborts in the search carry the
-    proven bounds.
+    bound.  The search is one loop.  A node that is not cut records a leaf,
+    or pushes its put-in child, if that avoids p, on the stack ``pending``
+    and goes on in place into its leave-out child, or into its put-in child
+    if t is forced; a node with no child to go on to pops ``pending``.  No
+    step changes an int or a table in place: nothing is undone.  Each node
+    is counted once, before it is expanded, also one cut by its bound (its
+    ``lb`` reaches the best cost) or by the frontier table.  A support table
+    that could exceed ``ENUMERATION_LIMIT`` supports is refused before it
+    is built.  Aborts in the search carry the proven bounds.
 
     The avoiding searches (``sat``, ``ex``) also keep a frontier table at
     the line starts t of ``_frontier_masks``.  Each field holds its supports
@@ -332,16 +343,15 @@ def _search(
     guard trick on ``live & ends``, so a key costs a few wide operations
     plus the field of each open 0; the set of an open 0 is cached by its
     field's live runs.  The table starts at the meter's first clock check
-    after ``_TICK`` nodes of branch and bound, and from then on every node
-    passes through ``probe``: a search that ends sooner pays nothing for it.
-    ``ssat`` keeps no table: keyed the same way, its small searches ran
-    slower.  The masks take ``width`` bits per line start, so the table is
-    kept only while that is at most ``ENUMERATION_LIMIT`` bits in all, and
-    ``probe`` takes one more frame per cell, so only while twice the cells
-    fit under the recursion ceiling; a search without it runs as before.
-    The table and the cache stop taking entries once the keys' run masks
-    would take ``ENUMERATION_LIMIT`` words at the full width of ``live``; a
-    key not kept only loses a cut.
+    after ``_TICK`` nodes of branch and bound, when ``start`` fills
+    ``marks``, and from then on every node at a line start is keyed: a
+    search that ends sooner pays only ``t in marks`` per node.  ``ssat``
+    keeps no table: keyed the same way, its small searches ran slower.  The
+    masks take ``width`` bits per line start, so the table is kept only
+    while that is at most ``ENUMERATION_LIMIT`` bits in all; a search
+    without it runs as before.  The table and the cache stop taking entries
+    once the keys' run masks would take ``ENUMERATION_LIMIT`` words at the
+    full width of ``live``; a key not kept only loses a cut.
     """
     _validate(shape, p)
     _check_cells(shape, budget, default_cells)
@@ -355,13 +365,8 @@ def _search(
     cc = shape.cell_count
     supports = _support_tables(shape, p, meter)
     width = cc + sum(map(len, supports))
-    # the frontier table's masks take width bits per line start, and its
-    # wrapper one more frame per cell
-    frontier = (
-        require_avoid
-        and 0 < (cc // shape.extents[-1] - 2) * width <= ENUMERATION_LIMIT
-        and 2 * cc <= _recursion_ceiling()
-    )
+    # the frontier table's masks take width bits per line start
+    frontier = require_avoid and 0 < (cc // shape.extents[-1] - 2) * width <= ENUMERATION_LIMIT
     if frontier:  # the supports sharing a future part lie together
         supports = [sorted(sups) for sups in supports]
 
@@ -398,53 +403,11 @@ def _search(
     best = cc + 1
     best_lives = 0
 
-    def branch(t, live, lives, lb):  # called only below the best cost
-        nonlocal best, best_lives
-        meter.nodes += 1
-        if meter.nodes >= meter.next_check:
-            meter.tick()
-        if t == cc:
-            best, best_lives = lb, lives
-            return
-        g = guard_of[t]
-        free = lives & g > 0  # t has a live support, so it may be 0
-        # leave t out first: lexicographically smaller
-        if free:
-            kept = live & keep[t]
-            left = lives & ((kept | guard) - base)
-            dead = lives ^ left
-            if not dead & g - 1:  # every cell decided 0 keeps a support
-                if maximise:  # a 0 past the quota: its 0s before t reach it
-                    out = lb + ((before[t] & lives).bit_count() >= quota[t])
-                else:  # the undecided cells whose last support died
-                    out = lb + (dead >> g.bit_length()).bit_count()
-                dead = None  # a frame keeps no wide int but its live and lives
-                if out < best:
-                    dfs(t + 1, kept, left, out)
-                else:  # a child cut by its bound is counted without a call
-                    meter.nodes += 1
-                    if meter.nodes >= meter.next_check:
-                        meter.tick()
-            kept = left = dead = None
-        # put t in; the decided 1s avoid p, so a new copy would use t and
-        # hold a live support of t lying wholly below t
-        if require_avoid and live & closed[t]:
-            return
-        if free:  # else forced: lb already counts it
-            lives, lb = lives ^ g, lb + (not maximise)
-        if lb < best:
-            dfs(t + 1, live, lives, lb)
-        else:
-            meter.nodes += 1
-            if meter.nodes >= meter.next_check:
-                meter.tick()
-
-    dfs = branch
+    marks: dict = {}  # line start -> (tops, steps, ends, cut), once the table starts
     if frontier:
         table: dict = {}  # key -> least cost it was reached at
         families: dict = {}  # (t, guard bit, live runs of the field) -> future parts
         room = 64 * ENUMERATION_LIMIT // width  # new entries either may take
-        marks: dict = {}  # line start -> (tops, steps, ends, cut)
         field_at: dict = {}  # by guard bit: the field's supports, bytes and mask
 
         def seen(t, live, lives):
@@ -490,17 +453,8 @@ def _search(
                 table[key] = cost
             return False
 
-        def probe(t, live, lives, lb):
-            if t in marks and seen(t, live, lives):  # a node cut by the table
-                meter.nodes += 1
-                if meter.nodes >= meter.next_check:
-                    meter.tick()
-            else:
-                branch(t, live, lives, lb)
-
-        def start(supports=supports):  # bound here: the del below empties the name
-            """Build the key's tables and send every later node through ``probe``."""
-            nonlocal dfs
+        def start(supports=supports, live=live):  # the del and the loop rebind both
+            """Build the key's tables: from now on a node at a line start is keyed."""
             for t, (tops, ends, cut) in _frontier_masks(shape, supports, width, meter).items():
                 marks[t] = (tops, live ^ tops, ends, cut)  # steps: all but the tops
             a = 0  # the field's first bit
@@ -508,13 +462,49 @@ def _search(
                 g = a + len(sups)
                 field_at[g] = (sups, a >> 3, (g >> 3) + 1, a & 7, (1 << g - a) - 1)
                 a = g + 1
-            dfs = probe
 
         meter.wake, meter.wake_at = start, meter.nodes + _TICK
     del supports
 
+    t, lb = 0, root
+    pending = []  # the put-in children still to visit, deepest last
     try:
-        dfs(0, live, lives, root)
+        while True:
+            # a node cut by its bound or by the table is counted all the same
+            cut = lb >= best or t in marks and seen(t, live, lives)
+            meter.nodes += 1
+            if meter.nodes >= meter.next_check:
+                meter.tick()
+            if cut:
+                pass
+            elif t == cc:
+                best, best_lives = lb, lives
+            else:
+                g = guard_of[t]
+                # the decided 1s avoid p, so putting t in would complete a
+                # copy iff a live support of t lies wholly below t
+                put = not (require_avoid and live & closed[t])
+                if not lives & g:  # forced: lb already counts it
+                    if put:
+                        t += 1
+                        continue
+                else:
+                    if put:
+                        pending.append((t + 1, live, lives ^ g, lb + (not maximise)))
+                    # leave t out first: lexicographically smaller
+                    kept = live & keep[t]
+                    left = lives & ((kept | guard) - base)
+                    dead = lives ^ left
+                    if not dead & g - 1:  # every cell decided 0 keeps a support
+                        if maximise:  # a 0 past the quota: its 0s before t reach it
+                            lb += (before[t] & lives).bit_count() >= quota[t]
+                        else:  # the undecided cells whose last support died
+                            lb += (dead >> g.bit_length()).bit_count()
+                        t, live, lives = t + 1, kept, left
+                        continue
+            if not pending:
+                break
+            t, live, lives, lb = pending.pop()
     except BudgetExceededError as err:
         if maximise:
             err.bounds = (cc - best if best <= cc else None, cc - root)

@@ -263,6 +263,23 @@ class TestExact:
         assert payload["value"] is None and payload["bounds"] is None
         assert payload["nodes"] == 1
 
+    def test_bad_budget_is_input_error(self, files, capsys):
+        # a NaN or negative budget exits 2 before any search
+        exact_argv = ["exact", "sat", "--shape", "3", "3", "--pattern", files("p.01m", I2)]
+        table_argv = ["table", "--d", "2", "--k", "1", "--n-lo", "2", "--n-hi", "3"]
+        for flag, value in (
+            ("--budget-seconds", "nan"),
+            ("--budget-seconds", "-1"),
+            ("--budget-cells", "-3"),
+        ):
+            for argv in (exact_argv, table_argv):
+                code, out, err = run(capsys, [*argv, flag, value])
+                assert code == 2, (argv[0], flag, value)
+                assert out == "" and json.loads(err)["status"] == "error"
+        # zero is a budget, and the search exceeds it
+        code, _, _ = run(capsys, [*exact_argv, "--budget-cells", "0"])
+        assert code == 3
+
     def test_support_cap(self, files, capsys):
         pat = files("p.01m", identity_pattern(2, 3))
         code, out, _ = run(
@@ -355,6 +372,14 @@ class TestTable:
         assert code == 0
         payload = json.loads(out)
         assert [r["closed_form"] for r in payload["rows"]] == [8, 12]
+
+    def test_k_below_one(self, capsys):
+        # refused before the greedy pass, naming the option
+        code, out, err = run(
+            capsys, ["table", "--d", "2", "--k", "0", "--n-lo", "2", "--n-hi", "4"]
+        )
+        assert code == 2 and out == ""
+        assert "--k" in json.loads(err)["reason"]
 
     def test_bad_range(self, capsys):
         code, _, err = run(

@@ -190,6 +190,19 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             exact_ex(Shape((5, 5)), I2, SearchBudget(max_cells=25, time_limit=0.0))
 
+    def test_bad_budgets_are_rejected(self):
+        # a NaN or negative budget is an input error, not a search without
+        # a budget or one refused by it; zero and infinity stay valid
+        for name in ("max_cells", "time_limit", "node_limit"):
+            for bad in (-3, float("nan")):
+                with pytest.raises(ValueError, match=name):
+                    SearchBudget(**{name: bad})
+        inf = float("inf")
+        endless = SearchBudget(max_cells=inf, time_limit=inf, node_limit=inf)
+        assert exact_sat(Shape((3, 3)), I2, endless).value == 5
+        with pytest.raises(BudgetExceededError, match="budget of 0"):
+            exact_sat(Shape((3, 3)), I2, SearchBudget(max_cells=0))
+
     def test_node_cap_bounds_table_construction(self):
         # the selection enumeration itself counts against the node budget
         p = Matrix01.from_nested([1, 1, 1, 1, 1])
@@ -238,8 +251,9 @@ class TestBudgets:
         assert time.monotonic() - start < 0.1
 
     def test_recursion_ceiling(self):
-        # the searches recurse once per host cell; a host the recursion
-        # cannot reach is refused before any table is built
+        # the ex capacities recurse once per cell of a diagonal, and a 1-D
+        # host is one diagonal: a host over the ceiling is refused before any
+        # table is built
         ceiling = sys.getrecursionlimit() - _STACK_RESERVE
         unit = Matrix01.from_nested([[1]])
         over = Shape((1, ceiling + 1))
@@ -261,7 +275,7 @@ class TestNodeLimits:
         # N nodes fit a limit of N and abort on node N under N - 1, also
         # when a child cut by its bound or by the table is the node counted
         # last; with a clock check every other node the frontier table
-        # starts at once, so its probe and its cuts are counted too
+        # starts at once, so its keys and its cuts are counted too
         shape, p = pair[0].shape, pair[1]
         for tick in (exact._TICK, 2):
             with pytest.MonkeyPatch.context() as patch:
@@ -357,6 +371,18 @@ class TestFrontierTable:
         shape = Shape(ext)
         res = fn(shape, pattern, SearchBudget(max_cells=shape.cell_count))
         assert (res.value, res.nodes) == pin
+
+    def test_kept_at_a_low_recursion_limit(self):
+        # the search takes no stack frame per cell, so a recursion ceiling of
+        # 50 frames still keeps the table on I2 over 6x6 (124,397 nodes without)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_STACK_RESERVE + 50)
+        try:
+            res = exact_sat(Shape((6, 6)), I2, SearchBudget(max_cells=36))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.value, res.nodes) == (11, 9319)
+        assert res == exact_sat(Shape((6, 6)), I2, SearchBudget(max_cells=36))
 
     @given(host_and_pattern(max_host_cells=16, nonzero=True))
     # a key without the open 0s' sets cuts the optimum here (sat 7, not 8)
