@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import comb, prod
-from operator import getitem, mul, or_
+from operator import mul, or_
 
-from .core import Coord, Matrix01, Shape, _recursion_ceiling
+from .core import Coord, Matrix01, Shape
 
 # Above this many candidate embeddings enumerate_embeddings refuses to run.
 ENUMERATION_LIMIT = 1_000_000
@@ -67,20 +67,11 @@ def embedding_is_valid(m: Matrix01, p: Matrix01, e: Embedding) -> bool:
 
 
 def _check_dims(host: Shape, p: Matrix01) -> None:
-    """The dimension gate of every containment and verdict question.
-
-    Host and pattern must agree on d, and d must stay within the recursion
-    ceiling, since ``_search`` recurses once per dimension.
-    """
+    """The dimension gate of every question about a host and a pattern."""
     if host.d != p.shape.d:
         raise ValueError(
             f"dimension mismatch: host is {host.d}-dimensional, "
             f"pattern is {p.shape.d}-dimensional"
-        )
-    ceiling = _recursion_ceiling()
-    if host.d > ceiling:
-        raise ValueError(
-            f"{host.d} dimensions exceeds the recursion ceiling of {ceiling}"
         )
 
 
@@ -161,20 +152,19 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
     (rank, index) pins; ``below`` is None or a selection vector the answer
     must be strictly less than.
 
-    The indices of the prefix dimensions 0..d-2 are picked one rank at a
-    time, in ascending index order: one frame per dimension runs an
-    odometer over its ranks, and a pin or ``below`` only narrows each
-    rank's range.  The last dimension's allowed indices start as one mask
-    per pattern column.  Each rank r of dimension d-2 completes the pattern
-    prefixes of rank r: it ANDs their host lines into the masks of their
-    1s' columns and, if a line drops a current pick, rescans the last
-    dimension leftmost-greedily on the masks so far (``_scan``).  The scan
-    is exact for these partial masks, a relaxation with fewer lines, so
-    when it fails no extension can close and the branch is cut; the last
-    rank's picks are the close.  Picks run in
-    lexicographic order of the selection vector and cuts drop only empty
-    subtrees, so the first answer is the least.  A 1-D search is run as
-    the search of a 1 × n host.
+    The indices of the prefix dimensions 0..d-2 are picked by one odometer
+    over the positions (dimension, rank) in row-major order, each index in
+    ascending order; a pin or ``below`` only narrows a position's range.
+    The last dimension's allowed indices start as one mask per pattern
+    column.  Each rank r of dimension d-2 completes the pattern prefixes of
+    rank r: it ANDs their host lines into the masks of their 1s' columns
+    and, if a line drops a current pick, rescans the last dimension
+    leftmost-greedily on the masks so far (``_scan``).  The scan is exact
+    for these partial masks, a relaxation with fewer lines, so when it
+    fails no extension can close and the branch is cut; the last rank's
+    picks are the close.  Picks run in lexicographic order of the selection
+    vector and cuts drop only empty subtrees, so the first answer is the
+    least.  A 1-D search is run as the search of a 1 × n host.
     """
     d = len(n_ext)
     if d == 1:
@@ -199,82 +189,74 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
         allow[:prank] = [(1 << pidx) - 1] * prank
         allow[prank] = 1 << pidx
         least[prank:] = range(pidx, pidx + l_last - prank)
-    # strides of the (d-1)-prefixes of the host
-    pstr = [prod(n_ext[k + 1 : -1]) for k in range(d - 1)]
-    sel = [[0] * l for l in l_ext[:-1]]
+    # per position: the highest index, n - l + r at rank r, or px - pr + r
+    # up to a pin (pr, px), and the index it starts past, px - 1 at the
+    # pinned rank, -1 at rank 0 and else (None) the index of the rank before
+    highs, starts, firsts = [], [], []
+    for i, (n, l) in enumerate(zip(n_ext[:-1], l_ext[:-1])):
+        pr, px = pins[i] if pins is not None else (-1, 0)
+        firsts.append(len(highs))
+        for r in range(l):
+            highs.append((px - pr if r <= pr else n - l) + r)
+            starts.append(px - 1 if r == pr else -1 if r == 0 else None)
+    size = len(highs)
+    cut = firsts[-1]  # the first position of dimension d-2
+    # the positions and strides of the host line offset of each prefix's
+    # earlier part, reset on each step into the cut dimension
+    pstr = [prod(n_ext[k + 1 : -1]) for k in range(d - 2)]
+    outer_at = [[f + r for f, r in zip(firsts, o)] for o in outers]
+    base = [0] * len(outers)  # d = 2: every earlier part is empty
+    # ties[k]: whether the picks before position k equal below's, which
+    # keeps the pick at k at most below's, tops[k]
+    tops = below and [x for s in below[:-1] for x in s]
+    ties = [below is not None] + [False] * size
     # per rank of dimension d-2: the masks and their pick after it
     masks = [allow] + [None] * l_ext[-2]
     picks = [least] + [None] * l_ext[-2]
-
-    def pick(i, tied):
-        """Pick the indices of dimension i and of every later dimension.
-
-        Rank r may take indices up to n - l + r; a pin (pr, px) fixes rank
-        pr at px and keeps rank r < pr at most px - pr + r.  ``tied`` tells
-        whether the picks so far equal ``below``'s; a rank picked while
-        tied may not exceed below's index.
-        """
-        l = l_ext[i]
-        slack = n_ext[i] - l
-        pr, px = pins[i] if pins is not None else (-1, 0)
-        xs = sel[i]
-        top = below[i] if tied else None
-        tie_at = [tied] * (l + 1)
-        cut = i == d - 2
-        if cut:
-            # host line offset of each prefix's earlier part
-            base = [sum(map(mul, map(getitem, sel, o), pstr)) for o in outers]
-        r = 0
-        xs[0] = px - 1 if pr == 0 else -1
-        while r >= 0:
-            x = xs[r] + 1
-            h = (px - pr if r <= pr else slack) + r
-            tie = tie_at[r]
-            if tie and top[r] < h:
-                h = top[r]
-            if x > h:
-                r -= 1
-                continue
-            xs[r] = x
-            tie_at[r + 1] = tie and x == top[r]
-            if cut:
-                first, group = ranks[r]
-                m = masks[r]
-                ys = picks[r]
-                if group:
-                    # masks only shrink, so picks the new lines keep are
-                    # still the least; rescan only if one is dropped
-                    m = m[:]
-                    moved = False
-                    for oid, cols in group:
-                        line = lines[base[oid] + x]
-                        for c in cols:
-                            m[c] &= line
-                            if not line >> ys[c] & 1:
-                                moved = True
-                    if moved:
-                        ys = _scan(m, ys, first)
-                        if ys is None:
-                            continue
-                masks[r + 1] = m
-                picks[r + 1] = ys
-            if r < l - 1:
-                r += 1
-                xs[r] = px - 1 if r == pr else x
-                continue
-            if cut:
-                if not tie_at[l] or tuple(ys) < below[-1]:
-                    return ys
-            else:
-                ys = pick(i + 1, tie_at[l])
-                if ys is not None:
-                    return ys
-        return None
-
-    close = pick(0, below is not None)
-    if close is None:
-        return None
-    return tuple(map(tuple, sel)) + (tuple(close),)
+    xs = starts[:]  # starts[0] is never None
+    k = 0
+    while k >= 0:
+        x = xs[k] + 1
+        h = highs[k]
+        tie = ties[k]
+        if tie and tops[k] < h:
+            h = tops[k]
+        if x > h:
+            k -= 1
+            continue
+        xs[k] = x
+        ties[k + 1] = tie and x == tops[k]
+        if k >= cut:
+            r = k - cut
+            first, group = ranks[r]
+            m = masks[r]
+            ys = picks[r]
+            if group:
+                # masks only shrink, so picks the new lines keep are still
+                # the least; rescan only if one is dropped
+                m = m[:]
+                moved = False
+                for oid, cols in group:
+                    line = lines[base[oid] + x]
+                    for c in cols:
+                        m[c] &= line
+                        if not line >> ys[c] & 1:
+                            moved = True
+                if moved:
+                    ys = _scan(m, ys, first)
+                    if ys is None:
+                        continue
+            masks[r + 1] = m
+            picks[r + 1] = ys
+        if k < size - 1:
+            k += 1
+            s = starts[k]
+            xs[k] = x if s is None else s
+            if k == cut:
+                base = [sum(map(mul, map(xs.__getitem__, at), pstr)) for at in outer_at]
+        elif not ties[size] or tuple(ys) < below[-1]:
+            return tuple(tuple(xs[f : f + l]) for f, l in zip(firsts, l_ext)) + (tuple(ys),)
+    return None
 
 
 def _to_embedding(sel0) -> Embedding:
@@ -372,8 +354,7 @@ def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:
 
 def embeddings_count(host_shape: Shape, p: Matrix01) -> int:
     """Number of selections of p's shape inside the host shape."""
-    if host_shape.d != p.shape.d:
-        raise ValueError("dimension mismatch")
+    _check_dims(host_shape, p)
     return prod(comb(n, l) for n, l in zip(host_shape.extents, p.shape.extents))
 
 
@@ -474,25 +455,29 @@ def _kronecker(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     the prefix dimensions, of the sets "holds f_i at rank j_i"; times the
     set of last-dimension selections that put a 1 of j at index y, they
     are j's part of the column of cell (f, y).  Sets are made only for the
-    ranks some prefix uses; the others stay 0.  The parts of distinct
-    prefixes are disjoint, as a selection is one-to-one; they are made
-    lazily, row-major, and ORed through one map per prefix, so each column
-    is whole before the next is begun.
+    ranks some prefix uses; the others stay 0.  A prefix dimension of host
+    extent 1 has one selection and the identity [1] as its sets, so it is
+    left out: each lazy product nests one generator per factor, and a host
+    of many unit dimensions would nest one per dimension.  The parts of
+    distinct prefixes are disjoint, as a selection is one-to-one; they are
+    made lazily, row-major, and ORed through one map per prefix, so each
+    column is whole before the next is begun.
     """
     prefixes, by_last, _ = _pattern_meta(p)
     counts = list(map(comb, host_shape.extents, p.shape.extents))
     *n_pre, n_last = host_shape.extents
     *l_pre, l_last = p.shape.extents
-    spreads = []
+    spreads = []  # (dimension, sets) per prefix dimension of extent above 1
     for i, (n, l) in enumerate(zip(n_pre, l_pre)):
-        owners = [()] * l
-        for pf in prefixes:
-            owners[pf[i]] = (pf[i],)
-        spreads.append(_index_sets(n, l, prod(counts[i + 1 :]), owners, l))
+        if n > 1:
+            owners = [()] * l
+            for pf in prefixes:
+                owners[pf[i]] = (pf[i],)
+            spreads.append((i, _index_sets(n, l, prod(counts[i + 1 :]), owners, l)))
     # [j][y]: the last-dimension selections putting a 1 of prefix j at y
     blocks = _index_sets(n_last, l_last, 1, by_last, len(prefixes))
     parts = [
-        reduce(_kron, [sets[r] for sets, r in zip(spreads, pf)] + [block])
+        reduce(_kron, [sets[pf[i]] for i, sets in spreads] + [block])
         for pf, block in zip(prefixes, blocks)
     ]
     return tuple(reduce(partial(map, or_), parts))
@@ -519,8 +504,7 @@ def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     ``saturation.SWEEP_LIMIT`` selection bits per cell, so keeping more
     costs memory for little.
     """
-    if host_shape.d != p.shape.d:
-        raise ValueError("dimension mismatch")
+    _check_dims(host_shape, p)
     if not (host_shape.fits(p.shape) and p.bits):
         return (0,) * host_shape.cell_count
     prefixes, _, ones = _pattern_meta(p)

@@ -13,7 +13,6 @@ The dominance order follows the convention that smaller coordinates are
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -27,17 +26,6 @@ Coord = tuple[int, ...]
 # the parser take a ``cell_limit`` argument; pass None to lift the cap.  The
 # constructions apply it as a fixed cap.
 DEFAULT_CELL_LIMIT = 1 << 24
-
-# Frames kept free for the callers of a recursive search.  The exact searches
-# recurse once per host cell and the containment search once per dimension,
-# so deeper inputs are refused up front instead of dying in a RecursionError.
-_STACK_RESERVE = 200
-
-
-def _recursion_ceiling() -> int:
-    """Deepest recursion a search may start below the interpreter's limit."""
-    return sys.getrecursionlimit() - _STACK_RESERVE
-
 
 class ParseError(ValueError):
     """Raised for malformed .01m text."""

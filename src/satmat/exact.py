@@ -67,13 +67,14 @@ from .constructions import (
     has_corner_only_shell,
     identity_pattern,
 )
-from .containment import ENUMERATION_LIMIT, embeddings_count, image_offsets
-from .core import Matrix01, Shape, _recursion_ceiling, diagonals
+from .containment import ENUMERATION_LIMIT, _check_dims, embeddings_count, image_offsets
+from .core import Matrix01, Shape, diagonals
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
 DEFAULT_SSAT_CELLS = 16  # exact_ssat
 
 _TICK = 1024  # nodes between wall-clock checks
+_ROW_BITS = 1 << 30  # bits the keep rows, cells x (cells + supports), may take
 _NONZERO = bytes([0]) + bytes([1]) * 255  # a translate table: nonzero bytes to 1
 
 
@@ -144,17 +145,14 @@ class _Meter:
 
 
 def _check_cells(shape: Shape, budget: SearchBudget, default_cells: int) -> None:
+    """Refuse a host of more cells than the budget allows, before any work."""
     cap = budget.max_cells if budget.max_cells is not None else default_cells
-    # _block_capacity recurses once per cell of a diagonal, and a 1-D host is
-    # one diagonal; the ceiling also bounds the keep rows, cells x width bits
-    for what, most in (("budget", cap), ("recursion ceiling", _recursion_ceiling())):
-        if shape.cell_count > most:
-            raise BudgetExceededError(f"{shape.cell_count} cells exceeds the {what} of {most}")
+    if shape.cell_count > cap:
+        raise BudgetExceededError(f"{shape.cell_count} cells exceeds the budget of {cap}")
 
 
 def _validate(shape: Shape, p: Matrix01) -> None:
-    if shape.d != p.shape.d:
-        raise ValueError("dimension mismatch")
+    _check_dims(shape, p)
     if p.weight == 0:
         raise ValueError("pattern has no 1-entries")
 
@@ -191,29 +189,29 @@ def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]
 def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) -> int:
     """Largest subset of ``cells`` with no copy of p lying wholly inside it.
 
-    A maximising search over the cells in order, 1 before 0: while the
-    chosen cells avoid p, adding t completes a copy iff a support of t is
-    already chosen, and that copy lies inside the chosen cells.
+    A maximising search over the cells in order, 1 before 0, one loop over
+    a stack: the leave-out child is pushed before the put-in child, so the
+    put-in subtree is searched first.  While the chosen cells avoid p,
+    adding t completes a copy iff a support of t is already chosen, and
+    that copy lies inside the chosen cells.
     """
     length = len(cells)
     best = 0
-
-    def grow(i, chosen, count):
-        nonlocal best
+    stack = [(0, 0, 0)]  # (next index, chosen cells, their count), deepest last
+    while stack:
+        i, chosen, count = stack.pop()
         meter.nodes += 1
         if meter.nodes >= meter.next_check:
             meter.tick()
         if count + (length - i) <= best:
-            return
+            continue
         if i == length:
             best = count
-            return
+            continue
         t = cells[i]
+        stack.append((i + 1, chosen, count))
         if all(s & ~chosen for s in supports[t]):
-            grow(i + 1, chosen | 1 << t, count + 1)
-        grow(i + 1, chosen, count)
-
-    grow(0, 0, 0)
+            stack.append((i + 1, chosen | 1 << t, count + 1))
     return best
 
 
@@ -320,9 +318,10 @@ def _search(
     if t is forced; a node with no child to go on to pops ``pending``.  No
     step changes an int or a table in place: nothing is undone.  Each node
     is counted once, before it is expanded, also one cut by its bound (its
-    ``lb`` reaches the best cost) or by the frontier table.  A support table
-    that could exceed ``ENUMERATION_LIMIT`` supports is refused before it
-    is built.  Aborts in the search carry the proven bounds.
+    ``lb`` reaches the best cost) or by the frontier table.  A search whose
+    support table could exceed ``ENUMERATION_LIMIT`` supports, or whose
+    rows could take more than ``_ROW_BITS`` bits in all, is refused before
+    any table is built.  Aborts in the search carry the proven bounds.
 
     The avoiding searches (``sat``, ``ex``) also keep a frontier table at
     the line starts t of ``_frontier_masks``.  Each field holds its supports
@@ -361,6 +360,9 @@ def _search(
         raise BudgetExceededError(
             f"up to {most} supports exceeds the enumeration cap {ENUMERATION_LIMIT}"
         )
+    rows = shape.cell_count * (shape.cell_count + most)
+    if rows > _ROW_BITS:
+        raise BudgetExceededError(f"rows of up to {rows} bits exceed the row cap of {_ROW_BITS}")
     meter = _Meter(budget)
     cc = shape.cell_count
     supports = _support_tables(shape, p, meter)

@@ -5,7 +5,6 @@ import pytest
 
 from satmat import Matrix01, Shape, format_01m, identity_pattern, parse_01m
 from satmat.cli import main
-from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 
@@ -89,19 +88,23 @@ class TestVerify:
         assert json.loads(out)["verdict"] is True
 
 
-# the containment kernel recurses once per dimension; deeper inputs are
-# refused as input errors
-@pytest.mark.parametrize("command", [["contains"], ["verify", "sat"], ["verify", "ssat"]])
-def test_dimension_ceiling(files, capsys, command):
-    d = sys.getrecursionlimit() - _STACK_RESERVE + 1
+# no search recurses per dimension: a host of more unit dimensions than the
+# recursion limit gets an answer
+@pytest.mark.parametrize(
+    "command,code,key,want",
+    [
+        (["contains"], 0, "found", True),
+        (["verify", "sat"], 1, "failure_kind", "contains_pattern"),
+        (["verify", "ssat"], 0, "verdict", True),
+    ],
+    ids=["contains", "verify-sat", "verify-ssat"],
+)
+def test_no_dimension_ceiling(files, capsys, command, code, key, want):
+    d = 2 * sys.getrecursionlimit()
     unit = files("unit.01m", Matrix01.filled(Shape((1,) * d)))
-    code, out, err = run(capsys, [*command, unit, unit])
-    assert code == 2
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["status"] == "error"
-    assert "recursion ceiling" in payload["reason"]
-    assert "Traceback" not in err
+    got, out, err = run(capsys, [*command, unit, unit])
+    assert (got, err) == (code, "")
+    assert json.loads(out)[key] == want
 
 
 class TestConstruct:
@@ -292,20 +295,18 @@ class TestExact:
         assert payload["bounds"] is None
         assert "enumeration cap" in payload["reason"]
 
-    def test_recursion_ceiling(self, files, capsys):
-        n = str(sys.getrecursionlimit() - _STACK_RESERVE + 1)
-        unit = files("unit.01m", Matrix01.from_nested([[1]]))
+    def test_row_cap(self, files, capsys):
         pat = files("p.01m", I2)
-        for quantity, p in (("ex", unit), ("sat", pat), ("ssat", pat)):
-            code, out, err = run(
-                capsys,
-                ["exact", quantity, "--shape", "1", n, "--pattern", p, "--budget-cells", n],
-            )
-            assert code == 3
-            payload = json.loads(out)
-            assert payload["status"] == "budget_exceeded"
-            assert "recursion" in payload["reason"]
-            assert "Traceback" not in err
+        code, out, err = run(
+            capsys,
+            ["exact", "ssat", "--shape", "1", "100000", "--pattern", pat, "--budget-cells", "100000"],
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "budget_exceeded"
+        assert payload["bounds"] is None
+        assert "row cap" in payload["reason"]
+        assert "Traceback" not in err
 
 
 class TestStaircases:

@@ -16,6 +16,7 @@ from satmat import (
     embedding_is_valid,
     embeddings_count,
     enumerate_embeddings,
+    exact_sat,
     greedy_saturate,
     identity_pattern,
     is_saturating,
@@ -23,7 +24,6 @@ from satmat import (
     potentially_matches,
 )
 from satmat.containment import _kronecker, _transposed, image_columns, image_offsets
-from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 
@@ -173,7 +173,7 @@ class TestKernelAtScale:
         assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize(
-        "d, max_extent, count", [(2, 5, 300), (3, 5, 150), (4, 3, 150)]
+        "d, max_extent, count", [(2, 5, 300), (3, 5, 150), (4, 3, 150), (5, 3, 150)]
     )
     def test_seeded_larger_hosts_agree_with_brute_force(self, d, max_extent, count):
         # pins at inner ranks and cuts at middle ranks, which hosts of at
@@ -300,31 +300,29 @@ class TestEnumeration:
             enumerate_embeddings(m, p, limit=1000)
 
 
-class TestDimensionCeiling:
-    def test_every_entry_point_at_and_above_the_ceiling(self):
-        # the kernel recurses once per dimension; a deeper host is refused
-        # by the one dimension gate instead of dying in a RecursionError
-        ceiling = sys.getrecursionlimit() - _STACK_RESERVE
-        for d in (ceiling, ceiling + 1):
-            shape = Shape((1,) * d)
-            one, zero, cell = Matrix01.filled(shape), Matrix01.zeros(shape), (1,) * d
-            calls = {
-                "contains": (lambda: contains(one, one), Embedding(((1,),) * d)),
-                "anchored_contains": (
-                    lambda: anchored_contains(one, one, cell),
-                    Embedding(((1,),) * d),
-                ),
-                "potentially_matches": (
-                    lambda: potentially_matches(zero, cell, one, cell),
-                    True,
-                ),
-                "is_saturating": (lambda: is_saturating(one, one).failure_kind, "contains_pattern"),
-                "is_semisaturating": (lambda: is_semisaturating(zero, one).verdict, True),
-                "greedy_saturate": (lambda: greedy_saturate(one, shape), zero),
-            }
-            for name, (call, want) in calls.items():
-                if d == ceiling:
-                    assert call() == want, name
-                else:
-                    with pytest.raises(ValueError, match="recursion ceiling"):
-                        call()
+class TestManyDimensions:
+    def test_every_entry_point_on_twice_the_recursion_limit(self):
+        # no search recurses per dimension, so a host of more unit
+        # dimensions than the recursion limit is answered, not refused
+        d = 2 * sys.getrecursionlimit()
+        shape = Shape((1,) * d)
+        one, zero, cell = Matrix01.filled(shape), Matrix01.zeros(shape), (1,) * d
+        calls = {
+            "contains": (lambda: contains(one, one), Embedding(((1,),) * d)),
+            "anchored_contains": (lambda: anchored_contains(one, one, cell), Embedding(((1,),) * d)),
+            "potentially_matches": (lambda: potentially_matches(zero, cell, one, cell), True),
+            "is_saturating": (lambda: is_saturating(one, one).failure_kind, "contains_pattern"),
+            "is_semisaturating": (lambda: is_semisaturating(zero, one).verdict, True),
+            "greedy_saturate": (lambda: greedy_saturate(one, shape), zero),
+        }
+        for name, (call, want) in calls.items():
+            assert call() == want, name
+
+
+@pytest.mark.parametrize(
+    "call", [exact_sat, embeddings_count, image_columns], ids=lambda f: f.__name__
+)
+def test_dimension_mismatch_names_both_dimensions(call):
+    # every question about a host and a pattern goes through one gate
+    with pytest.raises(ValueError, match="host is 2-dimensional, pattern is 3-dimensional"):
+        call(Shape((3, 3)), identity_pattern(3, 2))

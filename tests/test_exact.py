@@ -14,6 +14,7 @@ from satmat import (
     SearchBudget,
     Shape,
     avoids,
+    contains,
     diagonals,
     exact_ex,
     exact_sat,
@@ -24,7 +25,6 @@ from satmat import (
     verify_recurrence,
 )
 from satmat import exact
-from satmat.core import _STACK_RESERVE
 
 I2 = identity_pattern(2, 2)
 I3 = identity_pattern(2, 3)
@@ -250,23 +250,24 @@ class TestBudgets:
             exact_sat(Shape((28, 28)), I2, SearchBudget(max_cells=784, time_limit=0.01))
         assert time.monotonic() - start < 0.1
 
-    def test_recursion_ceiling(self):
-        # the ex capacities recurse once per cell of a diagonal, and a 1-D
-        # host is one diagonal: a host over the ceiling is refused before any
-        # table is built
-        ceiling = sys.getrecursionlimit() - _STACK_RESERVE
+    def test_hosts_longer_than_the_recursion_limit(self):
+        # the ex capacities search a diagonal in a loop, and a 1-D host is
+        # one diagonal: no host is refused for its length
+        n = sys.getrecursionlimit() + 1
         unit = Matrix01.from_nested([[1]])
-        over = Shape((1, ceiling + 1))
-        budget = SearchBudget(max_cells=ceiling + 1)
-        for fn, p in ((exact_ex, unit), (exact_sat, I2), (exact_ssat, I2)):
-            with pytest.raises(BudgetExceededError, match="recursion") as err:
-                fn(over, p, budget)
-            assert err.value.nodes == 0
-        at = Shape((1, ceiling))
-        budget = SearchBudget(max_cells=ceiling)
-        assert exact_ex(at, unit, budget).value == 0
-        assert exact_sat(at, I2, budget).value == ceiling
-        assert exact_ssat(at, I2, budget).value == ceiling
+        budget = SearchBudget(max_cells=n)
+        assert exact_ex(Shape((1, n)), unit, budget).value == 0
+        assert exact_sat(Shape((1, n)), I2, budget).value == n
+        assert exact_ssat(Shape((1, n)), I2, budget).value == n
+
+    def test_row_cap(self):
+        # 100,000 rows of 100,000 bits each: refused before any table is
+        # built, whatever the cell budget
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="row cap") as err:
+            exact_ssat(Shape((1, 100_000)), I2, SearchBudget(max_cells=100_000))
+        assert time.monotonic() - start < 0.5
+        assert err.value.nodes == 0 and err.value.bounds is None
 
 
 class TestNodeLimits:
@@ -371,18 +372,6 @@ class TestFrontierTable:
         shape = Shape(ext)
         res = fn(shape, pattern, SearchBudget(max_cells=shape.cell_count))
         assert (res.value, res.nodes) == pin
-
-    def test_kept_at_a_low_recursion_limit(self):
-        # the search takes no stack frame per cell, so a recursion ceiling of
-        # 50 frames still keeps the table on I2 over 6x6 (124,397 nodes without)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(_STACK_RESERVE + 50)
-        try:
-            res = exact_sat(Shape((6, 6)), I2, SearchBudget(max_cells=36))
-        finally:
-            sys.setrecursionlimit(limit)
-        assert (res.value, res.nodes) == (11, 9319)
-        assert res == exact_sat(Shape((6, 6)), I2, SearchBudget(max_cells=36))
 
     @given(host_and_pattern(max_host_cells=16, nonzero=True))
     # a key without the open 0s' sets cuts the optimum here (sat 7, not 8)
@@ -575,3 +564,26 @@ class TestRecurrence:
     def test_rejects_tight_shape(self):
         with pytest.raises(ValueError):
             verify_recurrence(I2, Shape((2, 2)))
+
+
+def test_answers_under_a_low_recursion_limit():
+    # no search takes a stack frame per dimension or per cell, so 60 frames
+    # above the caller's suffice: a 4-D containment, the ex capacities of a
+    # 300-cell diagonal, and sat keeping its frontier table on I2 over 6x6
+    # (124,397 nodes without)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        m = Matrix01.filled(Shape((2, 2, 2, 2)))
+        found = contains(m, identity_pattern(4, 2))
+        ex = exact_ex(Shape((300,)), Matrix01.from_nested([1]), SearchBudget(max_cells=300))
+        sat = exact_sat(Shape((6, 6)), I2, SearchBudget(max_cells=36))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is not None and found.selections == ((1, 2),) * 4
+    assert ex.value == 0
+    assert (sat.value, sat.nodes) == (11, 9319)
+    assert sat == exact_sat(Shape((6, 6)), I2, SearchBudget(max_cells=36))
