@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
 """Print containment witnesses of seeded instances, to compare two satmat versions.
 
-Each line is the repr of one tuple, in one of three forms:
+Each line is the repr of one tuple, in one of four forms:
 
     ("contains", host, pattern, selections)
     ("anchored", host, pattern, anchor, selections)
     ("greedy", pattern, host extents, order seed, bits)
+    ("flip", host, pattern, cell, selections)
 
 A host or pattern is (extents, bits), selections are the witness
-embedding's 1-based index selections or None, and an anchor is a 1-based
-host cell.  The instances are seeded random hosts and patterns with d in
-{1, 2, 3, 4}, at most 6, 5, 4 and 3 per host extent and 3 per pattern
+embedding's 1-based index selections or None, and an anchor or cell is a
+1-based host cell.  The instances are seeded random hosts and patterns with
+d in {1, 2, 3, 4}, at most 6, 5, 4 and 3 per host extent and 3 per pattern
 extent, at several densities.  Every instance gets ``contains`` and
 ``anchored_contains`` at every 1-cell of the host; every fitting nonzero
-pattern also gets ``greedy_saturate`` under two seeded visiting orders.  A
-change that keeps every witness leaves the dump byte-identical:
+pattern also gets ``greedy_saturate`` under two seeded visiting orders.
+Then 3-D and 4-D hosts saturating an identity pattern, the nested layers
+and two greedy hosts each, get every 0-cell flipped, with the anchored
+witness of the flipped host at that cell: these searches cut in the
+dimensions before the last prefix dimension.  A change that keeps every
+witness leaves the dump byte-identical:
 
     PYTHONPATH=src python3 scripts/containment_dump.py > new.txt
     PYTHONPATH=../parent/src python3 scripts/containment_dump.py > old.txt
@@ -27,11 +32,32 @@ well under a second.
 import argparse
 import random
 
-from satmat import Matrix01, Shape, anchored_contains, contains, greedy_saturate
+from satmat import (
+    Matrix01,
+    Shape,
+    anchored_contains,
+    cell_order,
+    contains,
+    greedy_saturate,
+    identity_layers,
+    identity_pattern,
+)
 
 DENSITIES = (0.3, 0.6, 0.9)
 MAX_EXTENT = {1: 6, 2: 5, 3: 4, 4: 3}
 ORDER_SEEDS = (1, 2)
+# (host extents, k) of the flipped hosts, which saturate the identity
+# pattern of extent k + 1: --small flips the True list, the full dump both
+FLIP_HOSTS = {
+    True: [((4, 5, 4), 1), ((3, 3, 4, 3), 1)],
+    False: [
+        ((7, 7, 7), 1),
+        ((5, 6, 7), 2),
+        ((7, 6, 6), 3),
+        ((4, 4, 4, 4), 1),
+        ((3, 4, 5, 4), 2),
+    ],
+}
 
 
 def instances(count):
@@ -73,9 +99,28 @@ def rows(m, p):
             yield ("greedy", pat, m.shape.extents, seed, g.bits)
 
 
+def flip_rows(m, p):
+    host = (m.shape.extents, m.bits)
+    pat = (p.shape.extents, p.bits)
+    for z in m.iter_zeros():
+        yield ("flip", host, pat, z, selections(anchored_contains(m.flip(z), p, z)))
+
+
+def flip_hosts(small):
+    for extents, k in FLIP_HOSTS[True] + ([] if small else FLIP_HOSTS[False]):
+        shape = Shape(extents)
+        p = identity_pattern(shape.d, k + 1)
+        yield identity_layers(shape, k), p
+        for seed in ORDER_SEEDS:
+            yield greedy_saturate(p, shape, cell_order(shape, seed)), p
+
+
 def dump(small):
     for m, p in instances(40 if small else 2000):
         for row in rows(m, p):
+            yield repr(row)
+    for m, p in flip_hosts(small):
+        for row in flip_rows(m, p):
             yield repr(row)
 
 

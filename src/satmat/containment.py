@@ -7,11 +7,14 @@ indices of the prefix dimensions 1..d-1 one rank at a time, in ascending
 order, and keeps one candidate bitmask of last-dimension indices per pattern
 column.  Each rank of dimension d-1 completes the pattern's prefixes (the
 first d-1 coordinates of its 1-entries) of that rank, and their host lines
-narrow the masks of their columns.  A leftmost-greedy scan of the masks then
-decides whether the last dimension can still be picked: if even these
-partial masks admit no ascending pick, the branch is cut.  The last rank's
-scan closes the last dimension, and the picks run in lexicographic order,
-so the first witness found is the lexicographically least selection vector.
+narrow the masks of their columns; from d = 3 on, the ranks of dimension
+d-2 narrow them first, each by the OR of the host lines a prefix can still
+reach once the rank fixes the prefix's earlier coordinates.  A
+leftmost-greedy scan of the masks then decides whether the last dimension
+can still be picked: if even these relaxed masks admit no ascending pick,
+the branch is cut.  The last rank's scan closes the last dimension, and the
+picks run in lexicographic order, so the first witness found is the
+lexicographically least selection vector.
 Anchored variants pin one host index per dimension at a prescribed rank,
 which is what "the new copy must use the flipped cell" amounts to; every
 anchored question (``anchored_contains``, ``potentially_matches``, the
@@ -33,12 +36,12 @@ Pure functions over immutable values throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb, prod
-from operator import mul, or_
+from operator import lt, mul, or_
 
-from .core import Coord, Matrix01, Shape
+from .core import Coord, Matrix01, Shape, _toggled
 
 # Above this many candidate embeddings enumerate_embeddings refuses to run.
 ENUMERATION_LIMIT = 1_000_000
@@ -59,11 +62,16 @@ def embedding_is_valid(m: Matrix01, p: Matrix01, e: Embedding) -> bool:
     if len(e.selections) != m.shape.d or m.shape.d != p.shape.d:
         return False
     for sel, l, n in zip(e.selections, p.shape.extents, m.shape.extents):
-        if len(sel) != l or any(not 1 <= x <= n for x in sel):
+        # a strictly ascending selection is in range iff its ends are
+        if len(sel) != l or not all(map(lt, sel, sel[1:])):
             return False
-        if any(a >= b for a, b in zip(sel, sel[1:])):
+        if not 1 <= sel[0] or not sel[-1] <= n:
             return False
-    return all(m.get(e.host_cell(q)) for q in p.iter_ones())
+    bits = m.bits
+    offs = [[(x - 1) * s for x in sel] for sel, s in zip(e.selections, m.shape.strides)]
+    return all(
+        bits >> sum(map(list.__getitem__, offs, o)) & 1 for o in _pattern_meta(p)[2]
+    )
 
 
 def _check_dims(host: Shape, p: Matrix01) -> None:
@@ -101,28 +109,45 @@ def _pattern_meta(p: Matrix01):
 
 @_per_pattern
 def _rank_groups(p: Matrix01):
-    """The pattern's prefixes grouped by the rank that completes them.
+    """The pattern's prefixes grouped by the search positions that narrow them.
 
-    ``_search`` resolves a prefix when it picks the index of the prefix's
-    last coordinate, its rank in the last prefix dimension (the one prefix
-    of a 1-D pattern at rank 0 of a dimension of extent 1).  Returns the
-    distinct earlier parts ``outers`` of the prefixes and, per rank, the
-    least pattern column holding a 1 of a prefix it completes, with each
-    such prefix's position in ``outers`` and the columns of its 1s.
+    ``_search`` completes a prefix when it picks the index of the prefix's
+    last coordinate, its rank in dimension d-2 (the one prefix of a 1-D
+    pattern at rank 0 of a dimension of extent 1), and resolves the
+    prefix's earlier part when it picks that part's last coordinate, its
+    rank in dimension d-3.  Returns ``lead_at`` and ``work``.  Per distinct
+    earlier part, ``lead_at`` holds the search positions of its coordinates
+    before dimension d-3.  Per search position from dimension d-3 on (d-2
+    for d = 2), ``work`` holds the least pattern column holding a 1 of a
+    prefix narrowed there and a group: at a rank of dimension d-3, each
+    earlier part it resolves, by its index in ``lead_at``, with the rank and
+    the columns of the 1s of each of its prefixes; at a rank of dimension
+    d-2, each prefix it completes, by its earlier part's index, with the
+    columns of its 1s.
     """
     prefixes, by_last, _ = _pattern_meta(p)
     cols_of: list[list[int]] = [[] for _ in prefixes]
     for c, group in enumerate(by_last):
         for pid in group:
             cols_of[pid].append(c)
-    d = p.shape.d
-    outers: dict[tuple[int, ...], int] = {}
-    ranks = [[len(by_last), []] for _ in range(p.shape.extents[-2] if d > 1 else 1)]
+    ext = p.shape.extents
+    d = len(ext)
+    # per earlier part: the rank and the columns of each of its prefixes
+    parts: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for pf, cols in zip(prefixes, cols_of):
-        rank = ranks[pf[-1] if pf else 0]
-        rank[0] = min(rank[0], cols[0])
-        rank[1].append((outers.setdefault(pf[:-1], len(outers)), tuple(cols)))
-    return tuple(outers), tuple((first, tuple(g)) for first, g in ranks)
+        parts.setdefault(pf[:-1], []).append((pf[-1] if pf else 0, tuple(cols)))
+    ranks = [[len(by_last), []] for _ in range(ext[-2] if d > 1 else 1)]
+    reaches = [[len(by_last), []] for _ in range(ext[-3] if d > 2 else 0)]
+    for oid, (o, group) in enumerate(parts.items()):
+        for r, cols in group:
+            ranks[r][0] = min(ranks[r][0], cols[0])
+            ranks[r][1].append((oid, cols))
+        if d > 2:
+            reach = reaches[o[-1]]
+            reach[0] = min(reach[0], *(cols[0] for _, cols in group))
+            reach[1].append((oid, tuple(group)))
+    lead_at = tuple(tuple(sum(ext[:i]) + c for i, c in enumerate(o[:-1])) for o in parts)
+    return lead_at, tuple((first, tuple(g)) for first, g in reaches + ranks)
 
 
 def _scan(masks, picks, first):
@@ -162,9 +187,19 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
     leftmost-greedily on the masks so far (``_scan``).  The scan is exact
     for these partial masks, a relaxation with fewer lines, so when it
     fails no extension can close and the branch is cut; the last rank's
-    picks are the close.  Picks run in lexicographic order of the selection
-    vector and cuts drop only empty subtrees, so the first answer is the
-    least.  A 1-D search is run as the search of a 1 × n host.
+    picks are the close.
+
+    From d = 3 on, dimension d-3 checks ahead the same way: its rank r
+    resolves the earlier parts (the coordinates before dimension d-2) of
+    the prefixes whose earlier part ends at rank r.  For each such prefix,
+    the OR of its host lines over the indices its rank of dimension d-2 can
+    still take is ANDed into its columns' masks, with the same rescan and
+    cut.  That OR holds every line the prefix could use, so the relaxed
+    masks hold the final ones, the cut drops no copy, and dimension d-2
+    starts from them.  Dimensions before d-3 cut nothing.  Picks run in
+    lexicographic order of the selection vector and cuts drop only empty
+    subtrees, so the first answer is the least.  A 1-D search is run as the
+    search of a 1 × n host.
     """
     d = len(n_ext)
     if d == 1:
@@ -178,7 +213,7 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
         )
         return sel and sel[1:]
     n_last, l_last = n_ext[-1], l_ext[-1]
-    outers, ranks = rank_groups
+    lead_at, work = rank_groups
     # last-dimension indices each pattern column may take; a pin keeps the
     # columns before its rank below the pinned index; ``least`` is their
     # leftmost-greedy pick
@@ -201,18 +236,28 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
             starts.append(px - 1 if r == pr else -1 if r == 0 else None)
     size = len(highs)
     cut = firsts[-1]  # the first position of dimension d-2
-    # the positions and strides of the host line offset of each prefix's
-    # earlier part, reset on each step into the cut dimension
-    pstr = [prod(n_ext[k + 1 : -1]) for k in range(d - 2)]
-    outer_at = [[f + r for f, r in zip(firsts, o)] for o in outers]
-    base = [0] * len(outers)  # d = 2: every earlier part is empty
+    # the first position of dimension d-3, which checks ahead; d = 2 has none
+    pre = size - len(work)
+    if d > 2:
+        # per rank r of dimension d-2: the slice of the host line offsets,
+        # past a prefix's base, its index can still take, from r, or from
+        # px - pr + r from a pin (pr, px) on, up to the highest index
+        pr, px = pins[-2] if pins is not None else (0, 0)
+        spans = [(r if r < pr else px - pr + r, h + 1) for r, h in enumerate(highs[cut:])]
+        plane = n_ext[-2]
+    # the host line offset of each prefix's earlier part, ``base``, is set
+    # when dimension d-3 picks its last rank, from the offset of its part
+    # before dimension d-3, ``lead``, reset on each step into dimension d-3
+    pstr = [prod(n_ext[k + 1 : -1]) for k in range(d - 3)]
+    lead = [0] * len(lead_at)  # d = 3: no dimension before d-3
+    base = [0] * len(lead_at)  # d = 2: every earlier part is empty
     # ties[k]: whether the picks before position k equal below's, which
     # keeps the pick at k at most below's, tops[k]
     tops = below and [x for s in below[:-1] for x in s]
     ties = [below is not None] + [False] * size
-    # per rank of dimension d-2: the masks and their pick after it
-    masks = [allow] + [None] * l_ext[-2]
-    picks = [least] + [None] * l_ext[-2]
+    # per position from pre on: the masks and their pick before it
+    masks = [allow] + [None] * (size - pre)
+    picks = [least] + [None] * (size - pre)
     xs = starts[:]  # starts[0] is never None
     k = 0
     while k >= 0:
@@ -226,34 +271,47 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
             continue
         xs[k] = x
         ties[k + 1] = tie and x == tops[k]
-        if k >= cut:
-            r = k - cut
-            first, group = ranks[r]
-            m = masks[r]
-            ys = picks[r]
+        if k >= pre:
+            j = k - pre
+            first, group = work[j]
+            m = masks[j]
+            ys = picks[j]
             if group:
                 # masks only shrink, so picks the new lines keep are still
                 # the least; rescan only if one is dropped
                 m = m[:]
                 moved = False
-                for oid, cols in group:
-                    line = lines[base[oid] + x]
-                    for c in cols:
-                        m[c] &= line
-                        if not line >> ys[c] & 1:
-                            moved = True
+                if k >= cut:
+                    for oid, cols in group:
+                        line = lines[base[oid] + x]
+                        for c in cols:
+                            m[c] &= line
+                            if not line >> ys[c] & 1:
+                                moved = True
+                else:
+                    # the earlier parts ending at this rank are resolved:
+                    # AND in, per prefix, every line it can still reach
+                    for oid, prefs in group:
+                        b = base[oid] = lead[oid] + x * plane
+                        for r, cols in prefs:
+                            lo, hi = spans[r]
+                            line = reduce(or_, lines[b + lo : b + hi])
+                            for c in cols:
+                                m[c] &= line
+                                if not line >> ys[c] & 1:
+                                    moved = True
                 if moved:
                     ys = _scan(m, ys, first)
                     if ys is None:
                         continue
-            masks[r + 1] = m
-            picks[r + 1] = ys
+            masks[j + 1] = m
+            picks[j + 1] = ys
         if k < size - 1:
             k += 1
             s = starts[k]
             xs[k] = x if s is None else s
-            if k == cut:
-                base = [sum(map(mul, map(xs.__getitem__, at), pstr)) for at in outer_at]
+            if k == pre:
+                lead = [sum(map(mul, map(xs.__getitem__, at), pstr)) for at in lead_at]
         elif not ties[size] or tuple(ys) < below[-1]:
             return tuple(tuple(xs[f : f + l]) for f, l in zip(firsts, l_ext)) + (tuple(ys),)
     return None
@@ -311,11 +369,8 @@ def _pinned_hits(lines, n_ext, p: Matrix01, anchor: Coord, entries=None):
 
 
 def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
-    flat = m.shape.flat_index(z)
-    n_last = m.shape.extents[-1]
-    lines = list(m._last_lines)
-    lines[flat // n_last] |= 1 << (flat % n_last)
-    return lines
+    """m's line table with the cell z toggled, without building the matrix."""
+    return _toggled(m._last_lines, m.shape.flat_index(z), m.shape.extents[-1])
 
 
 def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | None:
@@ -460,8 +515,9 @@ def _kronecker(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     left out: each lazy product nests one generator per factor, and a host
     of many unit dimensions would nest one per dimension.  The parts of
     distinct prefixes are disjoint, as a selection is one-to-one; they are
-    made lazily, row-major, and ORed through one map per prefix, so each
-    column is whole before the next is begun.
+    made lazily, row-major, and ORed pairwise through a balanced tree of
+    maps, one map fewer than there are prefixes, so each column is whole
+    before the next is begun and the maps nest only ⌈log2 prefixes⌉ deep.
     """
     prefixes, by_last, _ = _pattern_meta(p)
     counts = list(map(comb, host_shape.extents, p.shape.extents))
@@ -480,7 +536,10 @@ def _kronecker(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
         reduce(_kron, [sets[pf[i]] for i, sets in spreads] + [block])
         for pf, block in zip(prefixes, blocks)
     ]
-    return tuple(reduce(partial(map, or_), parts))
+    while len(parts) > 1:
+        odd = parts[-1:] if len(parts) % 2 else []
+        parts = [map(or_, a, b) for a, b in zip(parts[::2], parts[1::2])] + odd
+    return tuple(parts[0])
 
 
 @lru_cache(maxsize=1)

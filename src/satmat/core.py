@@ -389,7 +389,18 @@ class Matrix01:
         return (self.bits >> self.shape.flat_index(coord)) & 1
 
     def flip(self, coord: Coord) -> "Matrix01":
-        return Matrix01(self.shape, self.bits ^ (1 << self.shape.flat_index(coord)))
+        """The matrix with the cell at ``coord`` toggled.
+
+        If this matrix's line table is built, the result gets a copy of it
+        with the one changed line toggled, instead of building its own from
+        the bits; an unbuilt table stays unbuilt.
+        """
+        flat = self.shape.flat_index(coord)
+        out = Matrix01(self.shape, self.bits ^ (1 << flat))
+        lines = self.__dict__.get("_last_lines")
+        if lines is not None:
+            out.__dict__["_last_lines"] = _toggled(lines, flat, self.shape.extents[-1])
+        return out
 
     def iter_ones(self) -> Iterator[Coord]:
         bits = self.bits
@@ -412,6 +423,14 @@ class Matrix01:
             (self.bits >> (j * n_last)) & mask
             for j in range(self.shape.cell_count // n_last)
         ]
+
+
+def _toggled(lines: list[int], flat: int, n_last: int) -> list[int]:
+    """A fresh copy of a line table with the cell at flat index ``flat`` toggled."""
+    out = lines[:]
+    j, x = divmod(flat, n_last)
+    out[j] ^= 1 << x
+    return out
 
 
 def _check_cell_limit(

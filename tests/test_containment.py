@@ -3,7 +3,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, strategies as st
 
 import oracles
 from conftest import host_and_pattern
@@ -12,12 +12,14 @@ from satmat import (
     Matrix01,
     Shape,
     anchored_contains,
+    cell_order,
     contains,
     embedding_is_valid,
     embeddings_count,
     enumerate_embeddings,
     exact_sat,
     greedy_saturate,
+    identity_layers,
     identity_pattern,
     is_saturating,
     is_semisaturating,
@@ -85,6 +87,40 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(Matrix01.zeros(Shape((2, 2))), Matrix01.zeros(Shape((2,))))
+
+    @given(host_and_pattern(), st.data())
+    def test_embedding_is_valid_matches_a_check_per_index(self, pair, data):
+        # ascending selections, on the host or on the all-one host, with at
+        # most one dimension's selection out of range, out of order or of
+        # the wrong length
+        m, p = pair
+        if data.draw(st.booleans()):
+            m = Matrix01.filled(m.shape)
+        sels = [
+            sorted(data.draw(st.sets(st.integers(1, n), min_size=min(l, n), max_size=min(l, n))))
+            for n, l in zip(m.shape.extents, p.shape.extents)
+        ]
+        i = data.draw(st.integers(0, m.shape.d - 1))
+        n, sel = m.shape.extents[i], sels[i]
+        fault = data.draw(st.sampled_from(["none", "low", "high", "order", "short", "long"]))
+        if fault == "low":
+            sel[0] = 0
+        elif fault == "high":
+            sel[-1] = n + 1
+        elif fault == "order":
+            sel.reverse()
+        elif fault == "short":
+            sel.pop()
+        elif fault == "long":
+            sel.append(n + 1)
+        shaped = all(
+            len(sel) == l
+            and all(1 <= x <= n for x in sel)
+            and all(a < b for a, b in zip(sel, sel[1:]))
+            for sel, n, l in zip(sels, m.shape.extents, p.shape.extents)
+        )
+        want = shaped and oracles.selection_valid(m, p, sels)
+        assert embedding_is_valid(m, p, as_embedding(sels)) == want
 
     @given(host_and_pattern())
     def test_agrees_with_brute_force(self, pair):
@@ -190,6 +226,29 @@ class TestKernelAtScale:
                 got = anchored_contains(m, p, anchor)
                 assert (got and got.selections) == oracles.brute_anchored(m, p, anchor)
 
+    @pytest.mark.parametrize("d, max_extent, count", [(3, 7, 9), (4, 4, 12)])
+    def test_every_flip_of_seeded_hosts_agrees_with_brute_force(self, d, max_extent, count):
+        # nested layers, greedy and random hosts with every 0-cell flipped:
+        # the check one dimension before the last prefix dimension cuts at
+        # inner ranks, both where the flip makes a copy and where it does not
+        rng = random.Random(10 + d)
+        for i in range(count):
+            host = Shape(tuple(rng.randint(3, max_extent) for _ in range(d)))
+            k = rng.randint(1, 2)
+            p = identity_pattern(d, k + 1)
+            kind = i % 3
+            if kind == 0:
+                m = identity_layers(host, k)
+            elif kind == 1:
+                m = greedy_saturate(p, host, cell_order(host, rng.randrange(100)))
+            else:
+                m = random_matrix(rng, host, 0.5)
+                p = random_matrix(rng, Shape(tuple(rng.randint(1, 3) for _ in range(d))), 0.5)
+            for z in m.iter_zeros():
+                f = m.flip(z)
+                got = anchored_contains(f, p, z)
+                assert (got and got.selections) == oracles.brute_anchored(f, p, z)
+
 
 class TestPotentiallyMatches:
     def test_single_one_pattern(self):
@@ -276,6 +335,17 @@ class TestEnumeration:
     def test_image_columns_of_long_dimensions(self, host, p):
         want = oracle_columns(Shape(host), p)
         assert _kronecker(Shape(host), p) == image_columns(Shape(host), p) == want
+
+    @pytest.mark.parametrize(
+        "host,p",
+        [
+            # 300 prefixes: 300 parts ORed by a tree of maps, 9 deep
+            ((301, 1), Matrix01.filled(Shape((300, 1)))),
+            ((151, 2, 3), random_matrix(random.Random(3), Shape((150, 2, 2)), 0.5)),
+        ],
+    )
+    def test_kronecker_over_hundreds_of_prefixes(self, host, p):
+        assert _kronecker(Shape(host), p) == _transposed(Shape(host), p)
 
     @with_builder_examples
     @given(host_and_pattern())

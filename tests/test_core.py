@@ -221,6 +221,21 @@ class TestMatrix01:
             assert f.flip(c) == m
             assert abs(f.weight - m.weight) == 1
 
+    @given(matrix_of_random_shape(), st.integers(0, 11), st.booleans())
+    def test_flip_carries_the_line_table(self, m, i, built):
+        # a built table is passed on with one line toggled, as a fresh list
+        # that leaves the parent's as it was; an unbuilt one stays unbuilt
+        z = m.shape.coord_at(i % m.shape.cell_count)
+        before = list(m._last_lines) if built else None
+        f = m.flip(z)
+        assert ("_last_lines" in vars(f)) == built
+        assert f._last_lines == Matrix01(f.shape, f.bits)._last_lines
+        if built:
+            assert m._last_lines == before
+            assert f._last_lines is not m._last_lines
+        else:
+            assert "_last_lines" not in vars(m)
+
 
 class TestFormat01m:
     def test_golden_2d(self):

@@ -54,12 +54,14 @@ def test_containment_dump_small(capsys):
     main = runpy.run_path(str(SCRIPTS / "containment_dump.py"))["main"]
     assert main(["--small"]) == 0
     rows = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
-    assert {r[0] for r in rows} == {"contains", "anchored", "greedy"}
+    assert {r[0] for r in rows} == {"contains", "anchored", "greedy", "flip"}
     # ("contains", host, pattern, witness), ("anchored", host, pattern,
-    # anchor, witness) and ("greedy", pattern, extents, seed, bits)
-    width = {"contains": 4, "anchored": 5, "greedy": 5}
+    # anchor, witness), ("greedy", pattern, extents, seed, bits) and
+    # ("flip", host, pattern, cell, witness)
+    width = {"contains": 4, "anchored": 5, "greedy": 5, "flip": 5}
     assert all(len(r) == width[r[0]] for r in rows)
     assert {len(r[1][0]) for r in rows} == {1, 2, 3, 4}
+    assert {len(r[1][0]) for r in rows if r[0] == "flip"} == {3, 4}
 
 
 def _files(directory):
