@@ -2,7 +2,7 @@
 """Compare two checkouts on one benchmark workload, in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload exact_oracles \\
-        [--pairs 10] [--seed 1] [--seconds 30] [--smoke]
+        [--pairs 10] [--seed 1] [--seconds 30] [--smoke] [--json PATH]
 
 Each pair runs ``satbench/run.py`` of both checkouts once, one process at a
 time, from the root of that checkout; odd pairs run the parent first and
@@ -14,9 +14,11 @@ One line is printed per run.  Then, for each end-to-end metric of the
 change's ``BENCHMARK.json``, the line gives each side's median and
 quartiles, the ratio of the change's median to the parent's, and the number
 of pairs in which the change was strictly better, by the metric's
-``better``.  The exit status is 1, naming the side and the pair, if a run
-exits non-zero, if its last line is not a result, or if the result has
-``"correct": false``.  Only the standard library is used.
+``better``.  ``--json`` also writes these figures to PATH, with each run's
+value, the workload, seed, seconds and pairs, and the environment (Python,
+``nproc``, platform).  The exit status is 1, naming the side and the pair,
+if a run exits non-zero, if its last line is not a result, or if the
+result has ``"correct": false``.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -67,6 +70,16 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return q1, median(values), q3
 
 
+def environment() -> dict[str, object]:
+    """The interpreter, the usable processors and the platform of this run."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "nproc": len(usable) if usable else os.cpu_count(),
+        "platform": platform.platform(),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -76,6 +89,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--json", type=Path, help="also write the figures to this file")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.seconds is None:
@@ -95,14 +109,28 @@ def main(argv=None) -> int:
                 print(f"pair {pair} {side}: {shown}", flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s:"
           " median [quartiles] parent -> change, ratio, pairs the change won")
+    figures = {}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         old, new = ([run[name] for run in runs[side]] for side in SIDES)
         (o1, om, o3), (n1, nm, n3) = spread(old), spread(new)
-        ratio = f"{nm / om:.3f}" if om else "-"
         won = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        figures[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": {"median": om, "quartiles": [o1, o3], "runs": old},
+            "change": {"median": nm, "quartiles": [n1, n3], "runs": new},
+            "ratio": nm / om if om else None,
+            "won": won,
+        }
+        ratio = f"{nm / om:.3f}" if om else "-"
         print(f"  {name:<12} {om:.4g} [{o1:.4g}, {o3:.4g}] -> {nm:.4g} [{n1:.4g}, {n3:.4g}]"
               f"  x{ratio}  {won}/{args.pairs}")
+    if args.json:
+        report = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                  "pairs": args.pairs, "smoke": args.smoke, "environment": environment(),
+                  "metrics": figures}
+        args.json.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Print containment witnesses of seeded instances, to compare two satmat versions.
 
-Each line is the repr of one tuple, in one of four forms:
+Each line is the repr of one tuple, in one of five forms:
 
     ("contains", host, pattern, selections)
     ("anchored", host, pattern, anchor, selections)
+    ("potential", host, pattern, cell, entry, bool)
     ("greedy", pattern, host extents, order seed, bits)
     ("flip", host, pattern, cell, selections)
 
 A host or pattern is (extents, bits), selections are the witness
-embedding's 1-based index selections or None, and an anchor or cell is a
-1-based host cell.  The instances are seeded random hosts and patterns with
-d in {1, 2, 3, 4}, at most 6, 5, 4 and 3 per host extent and 3 per pattern
-extent, at several densities.  Every instance gets ``contains`` and
-``anchored_contains`` at every 1-cell of the host; every fitting nonzero
-pattern also gets ``greedy_saturate`` under two seeded visiting orders.
+embedding's 1-based index selections or None, an anchor or cell is a
+1-based host cell, and an entry is a 1-based pattern cell.  The instances are
+seeded random hosts and patterns with d in {1, 2, 3, 4}, at most 6, 5, 4
+and 3 per host extent and 3 per pattern extent, at several densities.
+Every instance gets ``contains``, ``anchored_contains`` at every 1-cell of
+the host and ``potentially_matches`` at every 0-cell of the host and
+1-entry of the pattern; every fitting nonzero pattern also gets
+``greedy_saturate`` under two seeded visiting orders.
 Then 3-D and 4-D hosts saturating an identity pattern, the nested layers
 and two greedy hosts each, get every 0-cell flipped, with the anchored
 witness of the flipped host at that cell: these searches cut in the
@@ -41,6 +44,7 @@ from satmat import (
     greedy_saturate,
     identity_layers,
     identity_pattern,
+    potentially_matches,
 )
 
 DENSITIES = (0.3, 0.6, 0.9)
@@ -91,6 +95,9 @@ def rows(m, p):
     yield ("contains", host, pat, selections(contains(m, p)))
     for a in m.iter_ones():
         yield ("anchored", host, pat, a, selections(anchored_contains(m, p, a)))
+    for z in m.iter_zeros():
+        for o in p.iter_ones():
+            yield ("potential", host, pat, z, o, potentially_matches(m, z, p, o))
     if p.weight and m.shape.fits(p.shape):
         for seed in ORDER_SEEDS:
             order = list(m.shape.cells())

@@ -18,7 +18,7 @@ import random
 from math import prod
 from typing import Iterable, Sequence
 
-from .containment import _check_dims, _pinned_hits
+from .containment import _check_dims, _pinned_hits, _plan
 from .core import (
     Coord,
     Matrix01,
@@ -194,8 +194,8 @@ def greedy_saturate(
     cells = list(shape.cells()) if order is None else list(order)
     if sorted(cells) != sorted(shape.cells()):
         raise ValueError("order must be a permutation of the host cells")
-    n_ext = shape.extents
-    n_last = n_ext[-1]
+    plan = _plan(shape.extents, p)
+    n_last = shape.extents[-1]
     lines = [0] * (shape.cell_count // n_last)
     bits = 0
     for c in cells:
@@ -203,7 +203,7 @@ def greedy_saturate(
         j, r = divmod(flat, n_last)
         lines[j] |= 1 << r
         # the partial matrix avoids p, so a new copy would have to use c
-        if next(_pinned_hits(lines, n_ext, p, c), None) is not None:
+        if next(_pinned_hits(lines, plan, c), None) is not None:
             lines[j] ^= 1 << r
         else:
             bits |= 1 << flat

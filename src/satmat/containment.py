@@ -14,7 +14,9 @@ leftmost-greedy scan of the masks then decides whether the last dimension
 can still be picked: if even these relaxed masks admit no ascending pick,
 the branch is cut.  The last rank's scan closes the last dimension, and the
 picks run in lexicographic order, so the first witness found is the
-lexicographically least selection vector.
+lexicographically least selection vector.  Each search reads its set-up
+from one cached plan per (host extents, pattern), ``_plan``: a pinned
+search only joins the ranges the plan holds per dimension and pin.
 Anchored variants pin one host index per dimension at a prescribed rank,
 which is what "the new copy must use the flipped cell" amounts to; every
 anchored question (``anchored_contains``, ``potentially_matches``, the
@@ -30,14 +32,15 @@ same walk, one step per (selection, pattern 1-entry), or one big-int
 product per (pattern prefix, host cell) from per-dimension Kronecker
 products, whichever has fewer.
 
-Pure functions over immutable values throughout.
+Pure functions over immutable values throughout; a plan only memoises
+set-up, and its pieces are never written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import comb, prod
 from operator import lt, mul, or_
 
@@ -86,12 +89,13 @@ def _check_dims(host: Shape, p: Matrix01) -> None:
 # ---------------------------------------------------------------------------
 # Pattern metadata: 1-entries grouped by their last coordinate, with the
 # distinct (d-1)-dimensional prefixes interned so the kernel can AND host
-# line masks per last-coordinate group.  Both tables are kept per pattern.
+# line masks per last-coordinate group, kept per pattern; then the kernel's
+# set-up, kept per (host extents, pattern) in a plan.
 
-_per_pattern = lru_cache(maxsize=512)
+_CACHED = 512  # the entries of each cache here, and the piece slots of a plan
 
 
-@_per_pattern
+@lru_cache(maxsize=_CACHED)
 def _pattern_meta(p: Matrix01):
     d = p.shape.d
     prefix_ids: dict[tuple[int, ...], int] = {}
@@ -107,7 +111,6 @@ def _pattern_meta(p: Matrix01):
     return prefixes, tuple(tuple(g) for g in by_last), tuple(ones)
 
 
-@_per_pattern
 def _rank_groups(p: Matrix01):
     """The pattern's prefixes grouped by the search positions that narrow them.
 
@@ -150,6 +153,69 @@ def _rank_groups(p: Matrix01):
     return lead_at, tuple((first, tuple(g)) for first, g in reaches + ranks)
 
 
+class _Plan(dict):
+    """The kernel's set-up for one host extents ``n_ext`` and pattern ``p``.
+
+    It holds the pattern's 1-entries and what ``_search`` reads of the
+    pattern and the extents alone, and maps each pin (dimension, rank,
+    0-based index) to that dimension's piece, built on first use: per rank
+    the highest index, the index it starts past and, at dimension d-2 from
+    d = 3 on, the line offsets its OR reads; or, for the last dimension, per
+    pattern column the allowed indices and their leftmost-greedy pick.
+    Rank l at index n pins nothing, and a rank that cannot sit at its index
+    maps to None.  Pieces are shared and never written.  An entry kept, None
+    too, takes a slot per rank of its dimension; past ``_CACHED`` slots each
+    search builds its own.  A 1-D plan is the 1 × n host's: ``head`` = (0,)
+    goes before its cells, entries and selections.
+    """
+
+    __slots__ = ("n_ext", "l_ext", "head", "ones", "lead_at", "work",
+                 "firsts", "size", "cut", "pre", "pstr", "room")
+
+    def __init__(self, n_ext: tuple[int, ...], p: Matrix01):
+        self.head = (0,) * (len(n_ext) == 1)
+        self.n_ext = n_ext = (1,) * len(self.head) + n_ext
+        self.l_ext = l_ext = (1,) * len(self.head) + p.shape.extents
+        self.ones = tuple(self.head + o for o in _pattern_meta(p)[2])
+        self.lead_at, self.work = _rank_groups(p)
+        self.firsts = tuple(sum(l_ext[:i]) for i in range(len(n_ext) - 1))
+        self.size = sum(l_ext[:-1])
+        self.cut = self.firsts[-1]  # the first position of dimension d-2
+        # the first position of dimension d-3, which checks ahead; d = 2 has none
+        self.pre = self.size - len(self.work)
+        self.pstr = [prod(n_ext[k + 1 : -1]) for k in range(len(n_ext) - 3)]
+        self.room = _CACHED
+
+    def __missing__(self, pin):
+        i, r, a = pin
+        n, l = self.n_ext[i], self.l_ext[i]
+        piece = None
+        if r <= a and l - r <= n - a:
+            if i == len(self.n_ext) - 1:
+                # the columns before the pinned rank stay below its index
+                allow = ([(1 << a) - 1] * r + [1 << a] + [(1 << n) - 1] * l)[:l]
+                piece = allow, [*range(r), *range(a, a + l - r)]
+            else:
+                # per rank q the highest index, a - r + q up to the pin and n - l + q
+                # after, and the index it starts past: a - 1 at the pin, -1 at
+                # rank 0, else None, the index of the rank before
+                highs = tuple((a - r if q <= r else n - l) + q for q in range(l))
+                starts = tuple(a - 1 if q == r else -1 if q == 0 else None for q in range(l))
+                spans = None
+                if i == len(self.n_ext) - 2 > 0:
+                    # past a prefix's base, the line offsets rank q can still
+                    # take: from q before the pin, from a - r + q at and after
+                    spans = tuple((q if q < r else a - r + q, h + 1) for q, h in enumerate(highs))
+                piece = highs, starts, spans
+        if self.room >= l:
+            self.room -= l
+            self[pin] = piece
+        return piece
+
+
+_plan = lru_cache(maxsize=_CACHED)(_Plan)
+
+
 def _scan(masks, picks, first):
     """The leftmost-greedy ascending pick of one index per mask, or None.
 
@@ -168,14 +234,14 @@ def _scan(masks, picks, first):
     return out
 
 
-def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
+def _search(lines, plan, pieces, below=None):
     """Lexicographically least 0-based selection vector, or None.
 
     ``lines`` maps each (d-1)-prefix flat index of the host to the bitmask
-    of its cells along the last dimension, and ``rank_groups`` comes from
-    ``_rank_groups``.  ``pins`` is None or a per-dimension tuple of
-    (rank, index) pins; ``below`` is None or a selection vector the answer
-    must be strictly less than.
+    of its cells along the last dimension, and ``pieces`` are the pieces of
+    ``plan`` (a ``_Plan``) for the search's pins, one per dimension.
+    ``below`` is None or a selection vector, in the plan's dimensions, the
+    answer must be strictly less than.
 
     The indices of the prefix dimensions 0..d-2 are picked by one odometer
     over the positions (dimension, rank) in row-major order, each index in
@@ -198,57 +264,18 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
     masks hold the final ones, the cut drops no copy, and dimension d-2
     starts from them.  Dimensions before d-3 cut nothing.  Picks run in
     lexicographic order of the selection vector and cuts drop only empty
-    subtrees, so the first answer is the least.  A 1-D search is run as the
-    search of a 1 × n host.
+    subtrees, so the first answer is the least.
     """
-    d = len(n_ext)
-    if d == 1:
-        sel = _search(
-            lines,
-            (1, *n_ext),
-            (1, *l_ext),
-            rank_groups,
-            pins and ((0, 0), *pins),
-            below and ((0,), *below),
-        )
-        return sel and sel[1:]
-    n_last, l_last = n_ext[-1], l_ext[-1]
-    lead_at, work = rank_groups
-    # last-dimension indices each pattern column may take; a pin keeps the
-    # columns before its rank below the pinned index; ``least`` is their
-    # leftmost-greedy pick
-    allow = [(1 << n_last) - 1] * l_last
-    least = list(range(l_last))
-    if pins is not None:
-        prank, pidx = pins[-1]
-        allow[:prank] = [(1 << pidx) - 1] * prank
-        allow[prank] = 1 << pidx
-        least[prank:] = range(pidx, pidx + l_last - prank)
-    # per position: the highest index, n - l + r at rank r, or px - pr + r
-    # up to a pin (pr, px), and the index it starts past, px - 1 at the
-    # pinned rank, -1 at rank 0 and else (None) the index of the rank before
-    highs, starts, firsts = [], [], []
-    for i, (n, l) in enumerate(zip(n_ext[:-1], l_ext[:-1])):
-        pr, px = pins[i] if pins is not None else (-1, 0)
-        firsts.append(len(highs))
-        for r in range(l):
-            highs.append((px - pr if r <= pr else n - l) + r)
-            starts.append(px - 1 if r == pr else -1 if r == 0 else None)
-    size = len(highs)
-    cut = firsts[-1]  # the first position of dimension d-2
-    # the first position of dimension d-3, which checks ahead; d = 2 has none
-    pre = size - len(work)
-    if d > 2:
-        # per rank r of dimension d-2: the slice of the host line offsets,
-        # past a prefix's base, its index can still take, from r, or from
-        # px - pr + r from a pin (pr, px) on, up to the highest index
-        pr, px = pins[-2] if pins is not None else (0, 0)
-        spans = [(r if r < pr else px - pr + r, h + 1) for r, h in enumerate(highs[cut:])]
-        plane = n_ext[-2]
+    highs, starts, spans = pieces[0]
+    for h, s, spans in pieces[1:-1]:
+        highs += h
+        starts += s
+    allow, least = pieces[-1]
+    lead_at, work, size, cut, pre = plan.lead_at, plan.work, plan.size, plan.cut, plan.pre
+    plane = plan.n_ext[-2]
     # the host line offset of each prefix's earlier part, ``base``, is set
     # when dimension d-3 picks its last rank, from the offset of its part
     # before dimension d-3, ``lead``, reset on each step into dimension d-3
-    pstr = [prod(n_ext[k + 1 : -1]) for k in range(d - 3)]
     lead = [0] * len(lead_at)  # d = 3: no dimension before d-3
     base = [0] * len(lead_at)  # d = 2: every earlier part is empty
     # ties[k]: whether the picks before position k equal below's, which
@@ -258,7 +285,7 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
     # per position from pre on: the masks and their pick before it
     masks = [allow] + [None] * (size - pre)
     picks = [least] + [None] * (size - pre)
-    xs = starts[:]  # starts[0] is never None
+    xs = list(starts)  # starts[0] is never None
     k = 0
     while k >= 0:
         x = xs[k] + 1
@@ -311,9 +338,10 @@ def _search(lines, n_ext, l_ext, rank_groups, pins=None, below=None):
             s = starts[k]
             xs[k] = x if s is None else s
             if k == pre:
-                lead = [sum(map(mul, map(xs.__getitem__, at), pstr)) for at in lead_at]
+                lead = [sum(map(mul, map(xs.__getitem__, at), plan.pstr)) for at in lead_at]
         elif not ties[size] or tuple(ys) < below[-1]:
-            return tuple(tuple(xs[f : f + l]) for f, l in zip(firsts, l_ext)) + (tuple(ys),)
+            sels = (tuple(xs[f : f + l]) for f, l in zip(plan.firsts, plan.l_ext))
+            return (*sels, tuple(ys))
     return None
 
 
@@ -335,37 +363,33 @@ def contains(m: Matrix01, p: Matrix01) -> Embedding | None:
     _check_dims(m.shape, p)
     if not m.shape.fits(p.shape):
         return None
-    groups = _rank_groups(p)
-    sel = _search(m._last_lines, m.shape.extents, p.shape.extents, groups)
-    return None if sel is None else _to_embedding(sel)
+    plan = _plan(m.shape.extents, p)
+    free = zip(count(), plan.l_ext, plan.n_ext)  # rank l at index n pins nothing
+    sel = _search(m._last_lines, plan, [plan[pin] for pin in free])
+    return None if sel is None else _to_embedding(sel[len(plan.head) :])
 
 
-def _pinned_hits(lines, n_ext, p: Matrix01, anchor: Coord, entries=None):
+def _pinned_hits(lines, plan, anchor: Coord, entries=None):
     """Yield ever smaller 0-based selections, each pinning one pattern 1-entry.
 
     The only caller of ``_search`` with pins.  ``lines`` is a host line
-    table, ``anchor`` a 1-based host cell, and ``entries`` the 0-based
-    pattern 1-entries to pin at the anchor (default: all, row-major).  An
-    entry is pinnable when, in every dimension, the pattern cells before and
-    after it fit on either side of the anchor; a pattern that does not fit
-    the host has no pinnable entry.  Each pinned search is capped strictly
-    below the last hit, so the first hit answers existence and the last is
-    the least anchored embedding.
+    table, ``plan`` its ``_Plan``, ``anchor`` a 1-based host cell, and
+    ``entries`` the 0-based pattern 1-entries, in the plan's dimensions, to
+    pin at the anchor (default: all, row-major).  An entry is pinnable when
+    no piece of its pins is None: in every dimension, the pattern cells
+    before and after it fit on either side of the anchor.  Each pinned
+    search is capped strictly below the last hit, so the first hit answers
+    existence and the last is the least anchored embedding.
     """
-    l_ext = p.shape.extents
-    ones = _pattern_meta(p)[2]
-    groups = _rank_groups(p)
+    a0 = plan.head + tuple(x - 1 for x in anchor)
     best = None
-    for o0 in ones if entries is None else entries:
-        pins = tuple((r, a - 1) for r, a in zip(o0, anchor))
-        if all(
-            r <= a and l - r <= n - a
-            for (r, a), l, n in zip(pins, l_ext, n_ext)
-        ):
-            sel = _search(lines, n_ext, l_ext, groups, pins, best)
+    for o0 in plan.ones if entries is None else entries:
+        pieces = list(map(plan.__getitem__, zip(count(), o0, a0)))
+        if all(pieces):
+            sel = _search(lines, plan, pieces, best)
             if sel is not None:
                 best = sel
-                yield sel
+                yield sel[len(plan.head) :]
 
 
 def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
@@ -381,7 +405,7 @@ def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | No
     if not m.get(anchor):
         raise ValueError(f"anchor {anchor} is a 0-entry")
     best = None
-    for best in _pinned_hits(m._last_lines, m.shape.extents, p, anchor):
+    for best in _pinned_hits(m._last_lines, _plan(m.shape.extents, p), anchor):
         pass
     return None if best is None else _to_embedding(best)
 
@@ -395,8 +419,9 @@ def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:
         raise ValueError(f"{z} is a 1-entry of the host")
     if not p.get(o):
         raise ValueError(f"{o} is a 0-entry of the pattern")
-    o0 = tuple(x - 1 for x in o)
-    hits = _pinned_hits(_lines_with_flip(m, z), m.shape.extents, p, z, (o0,))
+    plan = _plan(m.shape.extents, p)
+    o0 = plan.head + tuple(x - 1 for x in o)
+    hits = _pinned_hits(_lines_with_flip(m, z), plan, z, (o0,))
     return next(hits, None) is not None
 
 

@@ -32,6 +32,7 @@ from .containment import (
     _embedding_at,
     _lines_with_flip,
     _pinned_hits,
+    _plan,
     contains,
     embeddings_count,
     image_columns,
@@ -110,8 +111,9 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
         emb = contains(m, p)
         if emb is not None:
             return SaturationReport(False, "contains_pattern", emb)
+    plan = _plan(m.shape.extents, p)
     for z in m.iter_zeros():
-        hits = _pinned_hits(_lines_with_flip(m, z), m.shape.extents, p, z)
+        hits = _pinned_hits(_lines_with_flip(m, z), plan, z)
         if next(hits, None) is None:
             return SaturationReport(False, "dead_flip", z)
     return _OK

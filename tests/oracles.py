@@ -53,6 +53,16 @@ def brute_anchored(m: Matrix01, p: Matrix01, anchor):
     return None
 
 
+def brute_potential(m: Matrix01, z, p: Matrix01, o) -> bool:
+    """Whether the host with z flipped has a copy of p mapping z to o."""
+    flipped, d = m.flip(z), m.shape.d
+    return any(
+        all(z[i] in sels[i] and sels[i].index(z[i]) + 1 == o[i] for i in range(d))
+        and selection_valid(flipped, p, sels)
+        for sels in all_selections(m.shape, p.shape)
+    )
+
+
 def brute_flip_creates_new_copy(m: Matrix01, p: Matrix01, z) -> bool:
     return brute_anchored(m.flip(z), p, z) is not None
 

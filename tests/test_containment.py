@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -25,6 +26,7 @@ from satmat import (
     is_semisaturating,
     potentially_matches,
 )
+from satmat import containment
 from satmat.containment import _kronecker, _transposed, image_columns, image_offsets
 
 I2 = identity_pattern(2, 2)
@@ -292,6 +294,69 @@ class TestPotentiallyMatches:
                 want = True
                 break
         assert got == want
+
+
+@st.composite
+def host_and_pattern_to_4d(draw):
+    """A host of at most 24 cells and a pattern of at most 8, d in 1..4."""
+    d = draw(st.integers(1, 4))
+    top = {1: 8, 2: 5, 3: 3, 4: 2}[d]
+    host = Shape(tuple(draw(st.integers(1, top)) for _ in range(d)))
+    assume(host.cell_count <= 24)
+    shape = Shape(tuple(draw(st.integers(1, min(top, 3))) for _ in range(d)))
+    assume(shape.cell_count <= 8)
+    m = Matrix01(host, draw(st.integers(0, host.full_mask)))
+    return m, Matrix01(shape, draw(st.integers(0, shape.full_mask)))
+
+
+class TestPlan:
+    @staticmethod
+    def answers(m, p, cold):
+        """Every containment question about m and p; if cold, the plans are
+        cleared before each."""
+        questions = [(contains, m, p)]
+        questions += [(anchored_contains, m, p, a) for a in m.iter_ones()]
+        questions += [
+            (potentially_matches, m, z, p, o) for z in m.iter_zeros() for o in p.iter_ones()
+        ]
+        out = []
+        for call, *args in questions:
+            if cold:
+                containment._plan.cache_clear()
+            got = call(*args)
+            out.append(got.selections if isinstance(got, Embedding) else got)
+        return out
+
+    @given(host_and_pattern_to_4d())
+    def test_cold_and_warm_plans_agree_with_brute_force(self, pair):
+        m, p = pair
+        want = [oracles.brute_contains(m, p)]
+        want += [oracles.brute_anchored(m, p, a) for a in m.iter_ones()]
+        want += [
+            oracles.brute_potential(m, z, p, o) for z in m.iter_zeros() for o in p.iter_ones()
+        ]
+        assert self.answers(m, p, cold=True) == want
+        self.answers(m, p, cold=False)
+        assert self.answers(m, p, cold=False) == want
+
+    def test_long_all_one_pattern_keeps_the_plan_bounded(self):
+        # every anchor pins each of the pattern's 50 ranks: unbounded, the
+        # plan would keep 2,550 pieces of 50 slots, about 3 MB
+        n, l = 100, 50
+        m, p = Matrix01.filled(Shape((n,))), Matrix01.filled(Shape((l,)))
+        containment._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            for a in range(1, n + 1):
+                least = (*range(1, l), max(a, l))
+                assert anchored_contains(m, p, (a,)) == Embedding((least,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plan = containment._plan((n,), p)
+        stored = containment._CACHED - plan.room
+        assert containment._CACHED - l < stored <= containment._CACHED
+        assert peak < 1 << 20
 
 
 class TestEnumeration:

@@ -1,4 +1,5 @@
 import ast
+import json
 import re
 import runpy
 from pathlib import Path
@@ -54,34 +55,52 @@ def test_containment_dump_small(capsys):
     main = runpy.run_path(str(SCRIPTS / "containment_dump.py"))["main"]
     assert main(["--small"]) == 0
     rows = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
-    assert {r[0] for r in rows} == {"contains", "anchored", "greedy", "flip"}
+    assert {r[0] for r in rows} == {"contains", "anchored", "potential", "greedy", "flip"}
     # ("contains", host, pattern, witness), ("anchored", host, pattern,
-    # anchor, witness), ("greedy", pattern, extents, seed, bits) and
-    # ("flip", host, pattern, cell, witness)
-    width = {"contains": 4, "anchored": 5, "greedy": 5, "flip": 5}
+    # anchor, witness), ("potential", host, pattern, cell, entry, bool),
+    # ("greedy", pattern, extents, seed, bits) and ("flip", host, pattern,
+    # cell, witness)
+    width = {"contains": 4, "anchored": 5, "potential": 6, "greedy": 5, "flip": 5}
     assert all(len(r) == width[r[0]] for r in rows)
     assert {len(r[1][0]) for r in rows} == {1, 2, 3, 4}
     assert {len(r[1][0]) for r in rows if r[0] == "flip"} == {3, 4}
+    # both answers, in every dimension
+    assert {r[5] for r in rows if r[0] == "potential"} == {False, True}
+    assert {len(r[1][0]) for r in rows if r[0] == "potential"} == {1, 2, 3, 4}
 
 
 def _files(directory):
     return {p: p.stat().st_mtime_ns for p in directory.rglob("*")}
 
 
-def test_bench_pairs_smoke(capsys):
-    # one pair of the repo against itself: every metric gets its line, and
-    # no file under satbench/ is written
+def test_bench_pairs_smoke(tmp_path, capsys):
+    # one pair of the repo against itself: every metric gets its line and
+    # its figures in the JSON file, and no file under satbench/ is written
     root = SCRIPTS.parent
     before = _files(root / "satbench")
     main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    report = tmp_path / "bench.json"
     argv = [str(root), str(root), "--workload", "exact_oracles", "--pairs", "1",
-            "--seconds", "0.2", "--smoke"]
+            "--seconds", "0.2", "--smoke", "--json", str(report)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "pair 1 parent: " in out and "pair 1 change: " in out
-    for metric in ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb", "ok_rate"):
+    metrics = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb", "ok_rate")
+    for metric in metrics:
         assert re.search(rf"^  {metric} +\S+ \[\S+, \S+\] -> .* x\S+  [01]/1$", out, re.M), metric
     assert _files(root / "satbench") == before
+    data = json.loads(report.read_text())
+    assert (data["workload"], data["seed"], data["seconds"], data["pairs"]) == (
+        "exact_oracles", 1, 0.2, 1)
+    assert set(data["environment"]) == {"python", "nproc", "platform"}
+    assert set(data["metrics"]) == set(metrics)
+    for figures in data["metrics"].values():
+        for side in ("parent", "change"):
+            q1, q3 = figures[side]["quartiles"]
+            assert q1 == figures[side]["median"] == q3 == figures[side]["runs"][0]
+        assert figures["won"] in (0, 1)
+    ok = data["metrics"]["ok_rate"]
+    assert ok["ratio"] == 1.0 and ok["parent"]["median"] == 1.0
 
 
 def test_bench_pairs_names_a_failed_run(tmp_path, capsys):
