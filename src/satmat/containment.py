@@ -393,8 +393,8 @@ def _pinned_hits(lines, plan, anchor: Coord, entries=None):
 
 
 def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
-    """m's line table with the cell z toggled, without building the matrix."""
-    return _toggled(m._last_lines, m.shape.flat_index(z), m.shape.extents[-1])
+    """m's line table with the in-bounds cell z toggled, not building the matrix."""
+    return _toggled(m._last_lines, m.shape._flat(z), m.shape.extents[-1])
 
 
 def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | None:
@@ -402,7 +402,7 @@ def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | No
     _check_dims(m.shape, p)
     if not m.shape.in_bounds(anchor):
         raise ValueError(f"anchor {anchor} out of bounds")
-    if not m.get(anchor):
+    if not m.bits >> m.shape._flat(anchor) & 1:
         raise ValueError(f"anchor {anchor} is a 0-entry")
     best = None
     for best in _pinned_hits(m._last_lines, _plan(m.shape.extents, p), anchor):
@@ -415,7 +415,7 @@ def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:
     _check_dims(m.shape, p)
     if not m.shape.in_bounds(z):
         raise ValueError(f"coordinate {z} out of bounds")
-    if m.get(z):
+    if m.bits >> m.shape._flat(z) & 1:
         raise ValueError(f"{z} is a 1-entry of the host")
     if not p.get(o):
         raise ValueError(f"{o} is a 0-entry of the pattern")
@@ -584,9 +584,10 @@ def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     selections; the second on tables with many selections per cell.
 
     Verdict sweeps check many hosts of one (shape, pattern) in a row, so
-    one table gets nearly every reuse; a sweep table holds up to
-    ``saturation.SWEEP_LIMIT`` selection bits per cell, so keeping more
-    costs memory for little.
+    one table gets nearly every reuse; a sweep table holds at most
+    ``saturation.SWEEP_LIMIT`` bits per per-flip search it replaces, one
+    per 0-cell plus one, so at most ``SWEEP_LIMIT`` × (cells + 1) bits, and
+    keeping more costs memory for little.
     """
     _check_dims(host_shape, p)
     if not (host_shape.fits(p.shape) and p.bits):

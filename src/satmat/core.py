@@ -18,6 +18,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import combinations, product
 from math import prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
@@ -75,7 +76,11 @@ class Shape:
     def flat_index(self, coord: Coord) -> int:
         if not self.in_bounds(coord):
             raise ValueError(f"coordinate {coord} out of bounds for {self.extents}")
-        return sum((x - 1) * s for x, s in zip(coord, self.strides))
+        return self._flat(coord)
+
+    def _flat(self, coord: Coord) -> int:
+        """The flat index of a cell the caller has checked to be in bounds."""
+        return sum(map(mul, coord, self.strides)) - sum(self.strides)
 
     def coord_at(self, flat: int) -> Coord:
         if not 0 <= flat < self.cell_count:

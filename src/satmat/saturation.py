@@ -9,17 +9,17 @@ For an all-zero pattern we follow the convention that keeps the minimum
 saturating weight at zero: is_saturating is true exactly for the all-zero
 matrix and is_semisaturating is true for every matrix.
 
-Both verdicts share one decision.  Up to ``SWEEP_LIMIT`` candidate
-selections they sweep the cached cell-major selection table
-(``containment.image_columns``: per host cell, the selections whose image
-holds it), walking the host's 0-cells with a few big-int operations each:
-a selection whose image misses exactly one 0-cell makes that cell a
-productive flip, and a selection missing none is a pre-existing copy, the
-lowest one being the lexicographically least.  Larger hosts would need too
-big a table, so they fall back to one pinned search per 0-cell, which asks
-whether the flipped host has a copy through that cell.  Both paths give the
-same verdicts and the same counterexamples: the row-major-first dead flip,
-or the lexicographically least copy.
+Both verdicts share one decision.  While the table holds at most
+``SWEEP_LIMIT`` bits per search that the other path would run, they sweep
+the cached cell-major selection table (``containment.image_columns``: per
+host cell, the selections whose image holds it), walking the host's 0-cells
+with a few big-int operations each: a selection whose image misses exactly
+one 0-cell makes that cell a productive flip, and a selection missing none
+is a pre-existing copy, the lowest one being the lexicographically least.
+Otherwise the table costs more than it saves, so they run one pinned search
+per 0-cell, which asks whether the flipped host has a copy through that
+cell.  Both paths give the same verdicts and the same counterexamples: the
+row-major-first dead flip, or the lexicographically least copy.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from .containment import (
 )
 from .core import Coord, Matrix01
 
-SWEEP_LIMIT = 500_000  # candidate selections; beyond this use per-flip search
+# table bits (selections × cells) per search of the per-flip path, one per
+# 0-cell plus one (``contains``); beyond this the verdicts use that path
+SWEEP_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
     use the flipped cell, so the same test serves both verdicts.
     """
     count = embeddings_count(m.shape, p)
-    if count <= SWEEP_LIMIT:
+    cells = m.shape.cell_count
+    if count * cells <= SWEEP_LIMIT * (cells - m.bits.bit_count() + 1):
         once, single, walked = _flip_cover(m, p)
         if must_avoid:
             # the lowest selection outside once

@@ -9,10 +9,12 @@ from conftest import host_and_pattern
 from satmat import (
     Embedding,
     Matrix01,
+    SaturationReport,
     Shape,
     avoids,
     contains,
     greedy_saturate,
+    identity_layers,
     identity_pattern,
     is_saturating,
     is_semisaturating,
@@ -189,3 +191,47 @@ class TestGreedyInstances:
             m = greedy_saturate(I2, host, cell_order(host, seed))
             assert is_saturating(m, I2).verdict
             assert is_semisaturating(m, I2).verdict
+
+
+class TestSweepSwitch:
+    """The verdicts sweep the table only while its bits per search are few."""
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("the verdict took the other path")
+
+    @pytest.mark.parametrize(
+        "m, p",
+        [
+            # 364² selections × 196 cells against 145 searches
+            (identity_layers(Shape((14, 14)), 2), identity_pattern(2, 3)),
+            # 499,500 selections × 1,000 cells against 1,000 searches
+            (Matrix01(Shape((1000,)), 1), Matrix01.filled(Shape((2,)))),
+            # nine full rows, and one 1 in each other row
+            (
+                Matrix01.from_ones(
+                    Shape((20, 2)),
+                    [(r, c) for r in range(1, 21) for c in (1, 2) if r < 10 or c == 1],
+                ),
+                Matrix01.filled(Shape((10, 2))),
+            ),
+        ],
+        ids=["I3-14x14-layers", "vector-1000", "20x2-all-one-10x2"],
+    )
+    def test_large_tables_answer_per_flip(self, m, p, monkeypatch):
+        monkeypatch.setattr(saturation, "image_columns", self._refuse)
+        assert is_saturating(m, p) == SaturationReport(True)
+        assert is_semisaturating(m, p) == SaturationReport(True)
+        # the first flip of the all-zero host makes no copy
+        zero = Matrix01.zeros(m.shape)
+        dead = SaturationReport(False, "dead_flip", (1,) * m.shape.d)
+        assert is_saturating(zero, p) == is_semisaturating(zero, p) == dead
+
+    def test_small_tables_sweep(self, monkeypatch):
+        m, p = identity_layers(Shape((8, 8, 8)), 1), identity_pattern(3, 2)
+        monkeypatch.setattr(saturation, "_pinned_hits", self._refuse)
+        monkeypatch.setattr(saturation, "contains", self._refuse)
+        assert is_saturating(m, p) == SaturationReport(True)
+        assert is_semisaturating(m, p) == SaturationReport(True)
+        rep = is_saturating(m.flip(next(m.iter_zeros())), p)
+        assert rep.failure_kind == "contains_pattern"

@@ -2,6 +2,8 @@ import ast
 import json
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -113,3 +115,27 @@ def test_bench_pairs_names_a_failed_run(tmp_path, capsys):
     main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
     assert main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2"]) == 1
     assert "parent run of pair 1: the result is not correct" in capsys.readouterr().err
+
+
+def test_bench_layers_small():
+    # the repo's sources against themselves, in a process of their own, as
+    # the script imports satmat afresh for every side
+    src = str(SCRIPTS.parent / "src")
+    out = subprocess.run([sys.executable, str(SCRIPTS / "bench_layers.py"), src, src,
+                          "--small"], capture_output=True, text=True, check=True).stdout
+    data = json.loads(out)
+    assert (data["layer"], data["rounds"], data["repeat"]) == ("verdict", 1, 1)
+    rows = {row["row"]: row for row in data["rows"]}
+    assert set(rows) == {"I2 layers 6^2", "I3 layers 5^2", "I2 layers 3^3", "image_columns"}
+    i2 = rows["I2 layers 6^2"]
+    assert (i2["selections"], i2["cells"], i2["zeros"]) == (225, 36, 25)
+    for name, row in rows.items():
+        first, second = row["sides"]
+        assert first["src"] == second["src"] == src
+        figures = ["cold_us"] if name == "image_columns" else ["sweep", "per_flip"]
+        for fig in figures:
+            assert first[fig]["median"] > 0 and second[fig]["ratio"] > 0
+            assert second[fig]["rounds_faster"] in (0, 1)
+        if name != "image_columns":
+            # tiny tables: the library sweeps them
+            assert first["chosen"] == second["chosen"] == "sweep"
