@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the verdict layer of one or two satmat sources, alternating them.
+"""Time the verdict and anchored-search layers of one or two satmat sources.
 
     python3 scripts/bench_layers.py SRC [SRC2] [--small]
 
@@ -22,13 +22,22 @@ median and quartiles over rounds, and ``chosen``, the path its library
 takes by default.  ``bits_per_search`` is the table's bits (selections ×
 cells) over the per-flip path's searches (0-cells + 1).  The ``image_columns``
 row times the cold table of the 3×3 identity pattern on the 4×4 host, in µs.
+
+The ``anchored`` rows time the kernel as the ``large_hosts`` workload uses
+it: ``anchored_contains`` of each flipped host at its flipped 0-cell, the
+line tables and the kernel plan warm, in µs per flip.  A host is I_s's
+nested layers or a greedy host in a seeded cell order, and
+``searches_per_flip`` counts the pattern 1-entries that can be pinned at
+the flipped cell, one pinned search each.  Patterns of more entries run
+more searches per flip, which the end-to-end medians mix.
+
 With two sources every figure also has the ratio of the second side's
 median to the first's and the rounds in which the second was faster.
 
 The JSON report goes to stdout.  The exit status is 1 if the two paths of a
-side disagree on a verdict report.  ``--small`` runs tiny instances in 1
-round of 1 run, as a smoke test.  Only the standard library, satmat and
-``bench_pairs.py`` are used.
+side disagree on a verdict report, or the two sides on an anchored witness.
+``--small`` runs tiny instances in 1 round of 1 run, as a smoke test.  Only
+the standard library, satmat and ``bench_pairs.py`` are used.
 """
 
 from __future__ import annotations
@@ -49,6 +58,14 @@ GRID = [
     (4, 2, 11), (3, 2, 14), (3, 2, 12), (4, 2, 10), (2, 2, 26), (2, 3, 10),
 ]
 SMALL_GRID = [(2, 2, 6), (3, 2, 5), (2, 3, 3)]
+# (size s of I_s, d, n, greedy): I_s on the n^d host's nested layers, or on
+# its greedy host in the cell order of GREEDY_SEED, every 0-cell flipped
+FLIP_GRID = {
+    False: [(2, 3, 14, False), (2, 3, 12, True), (3, 2, 18, True),
+            (4, 2, 14, False), (5, 2, 12, False), (2, 4, 5, False)],
+    True: [(2, 3, 4, False), (3, 2, 6, True)],
+}
+GREEDY_SEED = 1
 TABLE_LOOPS = {False: 200, True: 2}
 ROUNDS = {False: 7, True: 1}
 REPEAT = {False: 3, True: 1}  # runs per figure in a round
@@ -102,6 +119,23 @@ def hosts(sm, grid):
         yield f"I{s} layers {n}^{d}", m, p
 
 
+def flip_hosts(sm, grid):
+    """(row name, host, pattern) per flip grid entry."""
+    for s, d, n, greedy in grid:
+        shape, p = sm.Shape((n,) * d), sm.identity_pattern(d, s)
+        if greedy:
+            m = sm.greedy_saturate(p, shape, sm.cell_order(shape, GREEDY_SEED))
+            yield f"I{s} on greedy {n}^{d}", m, p
+        else:
+            yield f"I{s} on layers {n}^{d}", sm.identity_layers(shape, s - 1), p
+
+
+def anchored(side, flipped, p, zeros):
+    """The anchored witness of each flipped host at its flipped cell."""
+    search = side[0].anchored_contains
+    return [e and e.selections for e in map(search, flipped, [p] * len(zeros), zeros)]
+
+
 def tasks(side, grid, small: bool):
     """(row, figure) -> (a call that runs it once, its unit in seconds)."""
     out = {}
@@ -110,11 +144,17 @@ def tasks(side, grid, small: bool):
         out[name, "per_flip"] = partial(verdicts, side, m, p, -1), 1e-3
     loops = TABLE_LOOPS[small]
     out["image_columns", "cold_us"] = partial(cold_tables, side, loops), 1e-6 * loops
+    for name, m, p in flip_hosts(side[0], FLIP_GRID[small]):
+        side[0].contains(m, p)  # builds the line table each flip carries, and the plan
+        zeros = list(m.iter_zeros())
+        flipped = [m.flip(z) for z in zeros]
+        out[name, "anchored_us"] = partial(anchored, side, flipped, p, zeros), 1e-6 * len(zeros)
     return out
 
 
-def describe(side, grid) -> dict[str, dict[str, object]]:
-    """Per verdict row: its sizes, and the path the library takes by default."""
+def describe(side, grid, flip_grid) -> dict[str, dict[str, object]]:
+    """Per verdict row: its sizes, and the path the library takes by default;
+    per anchored row: its sizes, and the searches per flip."""
     sm, saturation, containment = side
     built = []
     columns = saturation.image_columns
@@ -139,6 +179,15 @@ def describe(side, grid) -> dict[str, dict[str, object]]:
             "bits_per_search": round(count * cells / (zeros + 1)),
             "chosen": "sweep" if built else "per-flip",
         }
+    for name, m, p in flip_hosts(sm, flip_grid):
+        zeros = list(m.iter_zeros())
+        ext, l_ext = m.shape.extents, p.shape.extents
+        pinnable = sum(
+            all(o_i <= z_i and l - o_i <= n - z_i for o_i, z_i, l, n in zip(o, z, l_ext, ext))
+            for z in zeros for o in p.iter_ones()
+        )
+        out[name] = {"entries": p.weight, "zeros": len(zeros),
+                     "searches_per_flip": round(pinnable / len(zeros), 2)}
     return out
 
 
@@ -164,6 +213,8 @@ def one_round(sides, grid, r: int, repeat: int, small: bool) -> list[dict]:
         for (name, fig), rep in side_reports.items():
             if fig == "per_flip" and rep != side_reports[name, "sweep"]:
                 raise Disagree(f"{name}: the sweep and per-flip reports differ")
+            if fig == "anchored_us" and rep != reports[0][name, fig]:
+                raise Disagree(f"{name}: the sides' anchored witnesses differ")
     return best
 
 
@@ -174,7 +225,7 @@ def summary(values: list[float]) -> dict[str, object]:
 
 def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]:
     """Per row and figure, each side's summary, and the second side's ratio."""
-    rows = []
+    rows, flips = [], []
     names = dict.fromkeys(name for name, _ in runs[0][0])
     for name in names:
         figures = [fig for row, fig in runs[0][0] if row == name]
@@ -183,13 +234,13 @@ def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]
             row.update(host="4x4", pattern="I3", unit="us")
         else:
             row.update({k: v for k, v in described[0][name].items() if k != "chosen"})
-            row["unit"] = "ms"
+            row["unit"] = "us" if figures == ["anchored_us"] else "ms"
         sides = []
         for src, side_runs, desc in zip(srcs, runs, described):
             side: dict[str, object] = {"src": str(src)}  # as given
             for fig in figures:
                 side[fig] = summary([r[name, fig] for r in side_runs])
-            if name in desc:
+            if "chosen" in desc.get(name, {}):
                 side["chosen"] = desc[name]["chosen"]
             sides.append(side)
         if len(srcs) == 2:
@@ -199,9 +250,9 @@ def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]
                     sides[1][fig]["median"] / sides[0][fig]["median"], 3)
                 sides[1][fig]["rounds_faster"] = sum(b < a for a, b in zip(old, new))
         row["sides"] = sides
-        rows.append(row)
+        (flips if figures == ["anchored_us"] else rows).append(row)
     return {"layer": "verdict", "rounds": rounds, "repeat": repeat,
-            "environment": environment(), "rows": rows}
+            "environment": environment(), "rows": rows, "anchored": flips}
 
 
 def main(argv=None) -> int:
@@ -218,7 +269,7 @@ def main(argv=None) -> int:
         for r in range(rounds):
             sides = [load(src) for src in args.src]
             if r == 0:
-                described = [describe(side, grid) for side in sides]
+                described = [describe(side, grid, FLIP_GRID[args.small]) for side in sides]
             for side_runs, best in zip(runs, one_round(sides, grid, r, repeat,
                                                        args.small)):
                 side_runs.append(best)

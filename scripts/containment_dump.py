@@ -18,11 +18,14 @@ Every instance gets ``contains``, ``anchored_contains`` at every 1-cell of
 the host and ``potentially_matches`` at every 0-cell of the host and
 1-entry of the pattern; every fitting nonzero pattern also gets
 ``greedy_saturate`` under two seeded visiting orders.
-Then 3-D and 4-D hosts saturating an identity pattern, the nested layers
-and two greedy hosts each, get every 0-cell flipped, with the anchored
-witness of the flipped host at that cell: these searches cut in the
-dimensions before the last prefix dimension.  A change that keeps every
-witness leaves the dump byte-identical:
+Then hosts saturating an identity pattern, the nested layers and two
+greedy hosts each, get every 0-cell flipped, with the anchored witness of
+the flipped host at that cell.  On the 3-D and 4-D hosts these searches
+cut in the dimensions before the last prefix dimension; the 2-D hosts of
+I4 and I5 (full dump only) have flips where several pattern entries can
+be pinned, so several pinned searches run per flip.  The anchored rows
+hold the cells where more than one of them hits.
+A change that keeps every witness leaves the dump byte-identical:
 
     PYTHONPATH=src python3 scripts/containment_dump.py > new.txt
     PYTHONPATH=../parent/src python3 scripts/containment_dump.py > old.txt
@@ -60,6 +63,8 @@ FLIP_HOSTS = {
         ((7, 6, 6), 3),
         ((4, 4, 4, 4), 1),
         ((3, 4, 5, 4), 2),
+        ((11, 11), 3),
+        ((9, 9), 4),
     ],
 }
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from math import prod
+from operator import add
 from typing import Iterable, Sequence
 
 from .containment import _check_dims, _pinned_hits, _plan
@@ -25,6 +26,8 @@ from .core import (
     Shape,
     _box_mask,
     _check_cell_limit,
+    _packed,
+    cell_string,
     diagonals,
     is_complete_staircase,
     is_staircase,
@@ -54,12 +57,12 @@ def diagonal_concatenation(a: Matrix01, b: Matrix01) -> Matrix01:
     l = a.shape.extents
     out_shape = Shape(tuple(la + lb for la, lb in zip(l, b.shape.extents)))
     _check_cell_limit(out_shape)
-    bits = 0
-    for c in a.iter_ones():
-        bits |= 1 << out_shape.flat_index(c)
-    for c in b.iter_ones():
-        bits |= 1 << out_shape.flat_index(tuple(x + li for x, li in zip(c, l)))
-    return Matrix01(out_shape, bits)
+    flats = []
+    for block, shift in ((a, (0,) * len(l)), (b, l)):
+        # the 1s read off the cell string, as iter_ones is quadratic in them
+        ones = (c for c, v in zip(block.shape.cells(), cell_string(block)) if v == "1")
+        flats += (out_shape._flat(tuple(map(add, c, shift))) for c in ones)
+    return Matrix01(out_shape, _packed(out_shape.cell_count, flats))
 
 
 def has_corner_only_shell(p: Matrix01) -> bool:
@@ -136,15 +139,11 @@ def strip_shell(m: Matrix01, t: Iterable[Coord]) -> Matrix01:
         raise ValueError("t must be a complete staircase of m's shape")
     if any(n < 2 for n in shape.extents):
         raise ValueError("every extent must be at least 2")
-    bits = m.bits
-    for c in cs:
-        bits &= ~(1 << shape.flat_index(c))
+    t_bits = _packed(shape.cell_count, map(shape._flat, cs))
+    cells = cell_string(Matrix01(shape, m.bits & ~t_bits))
     inner = Shape(tuple(n - 1 for n in shape.extents))
-    out = 0
-    for c in inner.cells():
-        if (bits >> shape.flat_index(c)) & 1:
-            out |= 1 << inner.flat_index(c)
-    return Matrix01(inner, out)
+    kept = (k for k, c in enumerate(inner.cells()) if cells[shape._flat(c)] == "1")
+    return Matrix01(inner, _packed(inner.cell_count, kept))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ Anchored variants pin one host index per dimension at a prescribed rank,
 which is what "the new copy must use the flipped cell" amounts to; every
 anchored question (``anchored_contains``, ``potentially_matches``, the
 per-flip saturation verdicts, the greedy construction) goes through the one
-pinned search ``_pinned_hits``, which caps each pinned search strictly below
-the hit before it, so its last hit is the least anchored one.  Questions
+pinned search ``_pinned_hits``, one search per pinnable pattern 1-entry,
+and the least anchored embedding is the least of their hits.  Questions
 about every selection at once walk the selections in lexicographic
 selection order (``image_offsets``): the exact search tables and
 ``enumerate_embeddings`` take each selection's image as it comes, and the
@@ -234,26 +234,23 @@ def _scan(masks, picks, first):
     return out
 
 
-def _search(lines, plan, pieces, below=None):
+def _search(lines, plan, pieces):
     """Lexicographically least 0-based selection vector, or None.
 
     ``lines`` maps each (d-1)-prefix flat index of the host to the bitmask
     of its cells along the last dimension, and ``pieces`` are the pieces of
     ``plan`` (a ``_Plan``) for the search's pins, one per dimension.
-    ``below`` is None or a selection vector, in the plan's dimensions, the
-    answer must be strictly less than.
 
     The indices of the prefix dimensions 0..d-2 are picked by one odometer
     over the positions (dimension, rank) in row-major order, each index in
-    ascending order; a pin or ``below`` only narrows a position's range.
-    The last dimension's allowed indices start as one mask per pattern
-    column.  Each rank r of dimension d-2 completes the pattern prefixes of
-    rank r: it ANDs their host lines into the masks of their 1s' columns
-    and, if a line drops a current pick, rescans the last dimension
-    leftmost-greedily on the masks so far (``_scan``).  The scan is exact
-    for these partial masks, a relaxation with fewer lines, so when it
-    fails no extension can close and the branch is cut; the last rank's
-    picks are the close.
+    ascending order; a pin only narrows a position's range.  The last
+    dimension's allowed indices start as one mask per pattern column.  Each
+    rank r of dimension d-2 completes the pattern prefixes of rank r: it
+    ANDs their host lines into the masks of their 1s' columns and, if a
+    line drops a current pick, rescans the last dimension leftmost-greedily
+    on the masks so far (``_scan``).  The scan is exact for these partial
+    masks, a relaxation with fewer lines, so when it fails no extension can
+    close and the branch is cut; the last rank's picks are the close.
 
     From d = 3 on, dimension d-3 checks ahead the same way: its rank r
     resolves the earlier parts (the coordinates before dimension d-2) of
@@ -278,10 +275,6 @@ def _search(lines, plan, pieces, below=None):
     # before dimension d-3, ``lead``, reset on each step into dimension d-3
     lead = [0] * len(lead_at)  # d = 3: no dimension before d-3
     base = [0] * len(lead_at)  # d = 2: every earlier part is empty
-    # ties[k]: whether the picks before position k equal below's, which
-    # keeps the pick at k at most below's, tops[k]
-    tops = below and [x for s in below[:-1] for x in s]
-    ties = [below is not None] + [False] * size
     # per position from pre on: the masks and their pick before it
     masks = [allow] + [None] * (size - pre)
     picks = [least] + [None] * (size - pre)
@@ -289,15 +282,10 @@ def _search(lines, plan, pieces, below=None):
     k = 0
     while k >= 0:
         x = xs[k] + 1
-        h = highs[k]
-        tie = ties[k]
-        if tie and tops[k] < h:
-            h = tops[k]
-        if x > h:
+        if x > highs[k]:
             k -= 1
             continue
         xs[k] = x
-        ties[k + 1] = tie and x == tops[k]
         if k >= pre:
             j = k - pre
             first, group = work[j]
@@ -339,7 +327,7 @@ def _search(lines, plan, pieces, below=None):
             xs[k] = x if s is None else s
             if k == pre:
                 lead = [sum(map(mul, map(xs.__getitem__, at), plan.pstr)) for at in lead_at]
-        elif not ties[size] or tuple(ys) < below[-1]:
+        else:
             sels = (tuple(xs[f : f + l]) for f, l in zip(plan.firsts, plan.l_ext))
             return (*sels, tuple(ys))
     return None
@@ -370,25 +358,23 @@ def contains(m: Matrix01, p: Matrix01) -> Embedding | None:
 
 
 def _pinned_hits(lines, plan, anchor: Coord, entries=None):
-    """Yield ever smaller 0-based selections, each pinning one pattern 1-entry.
+    """Yield per pinnable pattern 1-entry its least 0-based selection pinning it.
 
     The only caller of ``_search`` with pins.  ``lines`` is a host line
     table, ``plan`` its ``_Plan``, ``anchor`` a 1-based host cell, and
     ``entries`` the 0-based pattern 1-entries, in the plan's dimensions, to
     pin at the anchor (default: all, row-major).  An entry is pinnable when
     no piece of its pins is None: in every dimension, the pattern cells
-    before and after it fit on either side of the anchor.  Each pinned
-    search is capped strictly below the last hit, so the first hit answers
-    existence and the last is the least anchored embedding.
+    before and after it fit on either side of the anchor.  Each entry's
+    search stands alone: the first hit answers existence, and the least of
+    all hits is the least anchored embedding.
     """
     a0 = plan.head + tuple(x - 1 for x in anchor)
-    best = None
     for o0 in plan.ones if entries is None else entries:
         pieces = list(map(plan.__getitem__, zip(count(), o0, a0)))
         if all(pieces):
-            sel = _search(lines, plan, pieces, best)
+            sel = _search(lines, plan, pieces)
             if sel is not None:
-                best = sel
                 yield sel[len(plan.head) :]
 
 
@@ -398,15 +384,18 @@ def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
 
 
 def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | None:
-    """Least embedding that selects ``anchor`` and maps it to a 1-entry of p."""
+    """Least embedding that selects ``anchor`` and maps it to a 1-entry of p.
+
+    The least, over the pattern's pinnable 1-entries, of each one's least
+    embedding mapping it onto ``anchor``.
+    """
     _check_dims(m.shape, p)
     if not m.shape.in_bounds(anchor):
         raise ValueError(f"anchor {anchor} out of bounds")
     if not m.bits >> m.shape._flat(anchor) & 1:
         raise ValueError(f"anchor {anchor} is a 0-entry")
-    best = None
-    for best in _pinned_hits(m._last_lines, _plan(m.shape.extents, p), anchor):
-        pass
+    hits = _pinned_hits(m._last_lines, _plan(m.shape.extents, p), anchor)
+    best = min(hits, default=None)
     return None if best is None else _to_embedding(best)
 
 

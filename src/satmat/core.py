@@ -347,42 +347,29 @@ class Matrix01:
         cell_limit: int | None = DEFAULT_CELL_LIMIT,
     ) -> "Matrix01":
         _check_cell_limit(shape, cell_limit, overridable=True)
-        bits = 0
-        for c in ones:
-            bits |= 1 << shape.flat_index(c)
-        return cls(shape, bits)
+        return cls(shape, _packed(shape.cell_count, map(shape.flat_index, ones)))
 
     @classmethod
     def from_nested(cls, nested) -> "Matrix01":
-        """Build from nested sequences, e.g. [[1, 0], [0, 1]] for a 2x2."""
+        """Build from nested sequences, e.g. [[1, 0], [0, 1]] for a 2x2.
+
+        Flattened one level at a time, each level checked for raggedness
+        whole, so no input is refused for its depth.
+        """
         extents = []
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            if not probe:
+        level = [nested]
+        while isinstance(level[0], (list, tuple)):
+            n = len(level[0])
+            if not n:
                 raise ValueError("empty nested input")
-            extents.append(len(probe))
-            probe = probe[0]
-        shape = Shape(tuple(extents))
-        flat: list[int] = []
-
-        def walk(node, depth):
-            is_seq = isinstance(node, (list, tuple))
-            if depth == len(extents):
-                if is_seq:
-                    raise ValueError("ragged nested input")
-                flat.append(1 if node else 0)
-                return
-            if not is_seq or len(node) != extents[depth]:
+            if any(not isinstance(node, (list, tuple)) or len(node) != n for node in level):
                 raise ValueError("ragged nested input")
-            for item in node:
-                walk(item, depth + 1)
-
-        walk(nested, 0)
-        bits = 0
-        for k, v in enumerate(flat):
-            if v:
-                bits |= 1 << k
-        return cls(shape, bits)
+            extents.append(n)
+            level = [item for node in level for item in node]
+        shape = Shape(tuple(extents))
+        if any(isinstance(node, (list, tuple)) for node in level):
+            raise ValueError("ragged nested input")
+        return cls(shape, _packed(len(level), (k for k, v in enumerate(level) if v)))
 
     # -- cell access
 
@@ -428,6 +415,18 @@ class Matrix01:
             (self.bits >> (j * n_last)) & mask
             for j in range(self.shape.cell_count // n_last)
         ]
+
+
+def _packed(count: int, flats: Iterable[int]) -> int:
+    """The int with the bits ``flats``, all below ``count``, in linear time.
+
+    Setting bits one at a time copies the growing int each time; here they
+    are marked in a byte string, read once as a binary numeral.
+    """
+    buf = bytearray(b"0") * count
+    for k in flats:
+        buf[k] = 49  # ord("1")
+    return int(buf[::-1], 2)
 
 
 def _toggled(lines: list[int], flat: int, n_last: int) -> list[int]:

@@ -188,9 +188,13 @@ class TestAnchored:
 
     @given(host_and_pattern(max_host_cells=16, max_pattern_cells=6, nonzero=True))
     @example((Matrix01.from_nested([[1, 1], [0, 1]]), Matrix01.from_nested([[1], [1]])))
+    @example((identity_pattern(2, 3), I2))
     def test_every_anchor_agrees_with_brute_force(self, pair):
-        # every pin position; in the example only the column right of the
-        # anchor (1, 1) holds a copy, which must not count as anchored
+        # every pin position; in the first example only the column right of
+        # the anchor (1, 1) holds a copy, which must not count as anchored;
+        # in the second, at the anchor (2, 2), pinning the entry (1, 1)
+        # hits ((2, 3), (2, 3)) and the later entry (2, 2) the least hit,
+        # ((1, 2), (1, 2))
         m, p = pair
         for anchor in m.iter_ones():
             got = anchored_contains(m, p, anchor)

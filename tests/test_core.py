@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -191,6 +192,14 @@ class TestMatrix01:
     def test_from_nested_ragged(self, nested):
         with pytest.raises(ValueError, match="ragged"):
             Matrix01.from_nested(nested)
+
+    def test_from_nested_on_twice_the_recursion_limit(self):
+        # flattened level by level, so no nesting is refused for its depth
+        d = 2 * sys.getrecursionlimit()
+        nested = 1
+        for _ in range(d):
+            nested = [nested]
+        assert Matrix01.from_nested(nested) == Matrix01.filled(Shape((1,) * d))
 
     def test_factories_advise_lifting_the_cap(self):
         shape = Shape((2,) * 25)

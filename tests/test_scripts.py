@@ -139,3 +139,13 @@ def test_bench_layers_small():
         if name != "image_columns":
             # tiny tables: the library sweeps them
             assert first["chosen"] == second["chosen"] == "sweep"
+    # the anchored rows: per flipped 0-cell, the searches of the entries
+    # that can be pinned there
+    flips = {row["row"]: row for row in data["anchored"]}
+    assert set(flips) == {"I2 on layers 4^3", "I3 on greedy 6^2"}
+    i2 = flips["I2 on layers 4^3"]
+    assert (i2["entries"], i2["zeros"], i2["unit"]) == (2, 27, "us")
+    for row in flips.values():
+        first, second = row["sides"]
+        assert 1 <= row["searches_per_flip"] <= row["entries"]
+        assert first["anchored_us"]["median"] > 0 and second["anchored_us"]["ratio"] > 0
