@@ -22,6 +22,9 @@ median and quartiles over rounds, and ``chosen``, the path its library
 takes by default.  ``bits_per_search`` is the table's bits (selections ×
 cells) over the per-flip path's searches (0-cells + 1).  The ``image_columns``
 row times the cold table of the 3×3 identity pattern on the 4×4 host, in µs.
+The ``image_columns <host>`` rows time, in ms, the cold tables of the
+longest dimensions the switch still sweeps: all-one patterns on all-zero
+hosts of about 2^16 selections, the worst tables a verdict builds.
 
 The ``anchored`` rows time the kernel as the ``large_hosts`` workload uses
 it: ``anchored_contains`` of each flipped host at its flipped 0-cell, the
@@ -69,7 +72,12 @@ GREEDY_SEED = 1
 TABLE_LOOPS = {False: 200, True: 2}
 ROUNDS = {False: 7, True: 1}
 REPEAT = {False: 3, True: 1}  # runs per figure in a round
-ALWAYS_SWEEP = 1 << 62  # above any table, in either unit of SWEEP_LIMIT
+# (host extents, pattern as nested rows): the long-dimension table rows
+LONG_TABLES = {
+    False: [((363,), [1, 1]), ((37,), [1] * 4), ((18,), [1] * 9), ((2, 256), [[1, 1]])],
+    True: [((40,), [1, 1]), ((2, 12), [[1, 1]])],
+}
+ALWAYS_SWEEP = 1 << 62  # above any table's bits per search
 
 
 class Disagree(Exception):
@@ -111,6 +119,18 @@ def cold_tables(side, loops: int) -> None:
         containment.image_columns(shape, p)
 
 
+def cold_table(side, shape, p) -> None:
+    side[2].image_columns.cache_clear()
+    side[2].image_columns(shape, p)
+
+
+def long_tables(sm, tables):
+    """(row name, host shape, pattern) per long-dimension table entry."""
+    for extents, rows in tables:
+        name = "image_columns " + "x".join(map(str, extents))
+        yield name, sm.Shape(extents), sm.Matrix01.from_nested(rows)
+
+
 def hosts(sm, grid):
     """(row name, host, pattern) per grid entry."""
     for s, d, n in grid:
@@ -144,6 +164,8 @@ def tasks(side, grid, small: bool):
         out[name, "per_flip"] = partial(verdicts, side, m, p, -1), 1e-3
     loops = TABLE_LOOPS[small]
     out["image_columns", "cold_us"] = partial(cold_tables, side, loops), 1e-6 * loops
+    for name, shape, p in long_tables(side[0], LONG_TABLES[small]):
+        out[name, "cold_ms"] = partial(cold_table, side, shape, p), 1e-3
     for name, m, p in flip_hosts(side[0], FLIP_GRID[small]):
         side[0].contains(m, p)  # builds the line table each flip carries, and the plan
         zeros = list(m.iter_zeros())
@@ -152,9 +174,10 @@ def tasks(side, grid, small: bool):
     return out
 
 
-def describe(side, grid, flip_grid) -> dict[str, dict[str, object]]:
+def describe(side, grid, flip_grid, tables) -> dict[str, dict[str, object]]:
     """Per verdict row: its sizes, and the path the library takes by default;
-    per anchored row: its sizes, and the searches per flip."""
+    per long-table row: its sizes; per anchored row: its sizes, and the
+    searches per flip."""
     sm, saturation, containment = side
     built = []
     columns = saturation.image_columns
@@ -179,6 +202,10 @@ def describe(side, grid, flip_grid) -> dict[str, dict[str, object]]:
             "bits_per_search": round(count * cells / (zeros + 1)),
             "chosen": "sweep" if built else "per-flip",
         }
+    for name, shape, p in long_tables(sm, tables):
+        out[name] = {"host": "x".join(map(str, shape.extents)), "ones": p.weight,
+                     "selections": containment.embeddings_count(shape, p),
+                     "cells": shape.cell_count}
     for name, m, p in flip_hosts(sm, flip_grid):
         zeros = list(m.iter_zeros())
         ext, l_ext = m.shape.extents, p.shape.extents
@@ -269,7 +296,8 @@ def main(argv=None) -> int:
         for r in range(rounds):
             sides = [load(src) for src in args.src]
             if r == 0:
-                described = [describe(side, grid, FLIP_GRID[args.small]) for side in sides]
+                described = [describe(side, grid, FLIP_GRID[args.small],
+                                      LONG_TABLES[args.small]) for side in sides]
             for side_runs, best in zip(runs, one_round(sides, grid, r, repeat,
                                                        args.small)):
                 side_runs.append(best)

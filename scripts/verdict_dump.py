@@ -6,11 +6,12 @@ verdict ("sat" or "ssat"), the host (extents, bits), the pattern (extents,
 bits), then the report: verdict, failure kind and counterexample (a 1-based
 cell, or an embedding's selections).  The instances are seeded random hosts
 and patterns with d in {1, 2, 3}, at most 5 per host extent and 3 per pattern
-extent, at several densities.  Every instance is answered twice: first as
-the library chooses (the whole-selection sweep at these sizes), then with
-``saturation.SWEEP_LIMIT`` forced to -1, so every verdict runs one pinned
-search per 0-cell.  A change that keeps every report leaves the dump
-byte-identical:
+extent, at several densities; the full dump adds 30 swept hosts with one
+long dimension (``long_instances``).  Every instance is answered twice:
+first as the library chooses (the whole-selection sweep at these sizes),
+then with ``saturation.SWEEP_LIMIT`` forced to -1, so every verdict runs
+one pinned search per 0-cell.  A change that keeps every report leaves
+the dump byte-identical:
 
     PYTHONPATH=src python3 scripts/verdict_dump.py > new.txt
     PYTHONPATH=../parent/src python3 scripts/verdict_dump.py > old.txt
@@ -24,7 +25,14 @@ import argparse
 import random
 
 import satmat.saturation as saturation
-from satmat import Embedding, Matrix01, Shape, is_saturating, is_semisaturating
+from satmat import (
+    Embedding,
+    Matrix01,
+    Shape,
+    embeddings_count,
+    is_saturating,
+    is_semisaturating,
+)
 
 VERDICTS = {"sat": is_saturating, "ssat": is_semisaturating}
 DENSITIES = (0.2, 0.5, 0.8)
@@ -51,6 +59,34 @@ def instances(count):
     return out
 
 
+def long_instances(count):
+    """Swept pairs whose hosts have one long dimension: 1-D hosts of 40-250
+    cells, or 2-D hosts of 2-3 rows by 40-120 columns, against patterns of
+    extent at most 3 with 2 or 3 ones, kept only if the default switch sweeps
+    them."""
+    rng = random.Random(2)
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            host = Shape((rng.randrange(40, 251),))
+        else:
+            host = Shape((rng.randrange(2, 4), rng.randrange(40, 121)))
+        pattern = Shape(tuple(rng.randrange(1, min(n, 3) + 1) for n in host.extents))
+        if pattern.cell_count < 2:
+            continue
+        k = rng.randrange(2, min(pattern.cell_count, 3) + 1)
+        ones = rng.sample(range(pattern.cell_count), k)
+        density = DENSITIES[len(out) % len(DENSITIES)]
+        bits = sum(
+            1 << c for c in range(host.cell_count) if rng.random() < density
+        )
+        m, p = Matrix01(host, bits), Matrix01(pattern, sum(1 << c for c in ones))
+        zeros = host.cell_count - m.weight
+        if embeddings_count(host, p) * host.cell_count <= saturation.SWEEP_LIMIT * (zeros + 1):
+            out.append((m, p))
+    return out
+
+
 def line(path, name, m, p):
     rep = VERDICTS[name](m, p)
     cx = rep.counterexample
@@ -70,7 +106,7 @@ def line(path, name, m, p):
 
 
 def dump(small):
-    pairs = instances(60 if small else 4000)
+    pairs = instances(60) if small else instances(4000) + long_instances(30)
     for path, limit in (("sweep", saturation.SWEEP_LIMIT), ("per-flip", -1)):
         saved = saturation.SWEEP_LIMIT
         saturation.SWEEP_LIMIT = limit

@@ -373,7 +373,7 @@ class Matrix01:
 
     # -- cell access
 
-    @cached_property
+    @property
     def weight(self) -> int:
         return self.bits.bit_count()
 

@@ -97,7 +97,7 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
     """
     count = embeddings_count(m.shape, p)
     cells = m.shape.cell_count
-    if count * cells <= SWEEP_LIMIT * (cells - m.bits.bit_count() + 1):
+    if count * cells <= SWEEP_LIMIT * (cells - m.weight + 1):
         once, single, walked = _flip_cover(m, p)
         if must_avoid:
             # the lowest selection outside once

@@ -393,12 +393,14 @@ class TestEnumeration:
     @pytest.mark.parametrize(
         "host,p",
         [
-            # dimensions with many more selections than host indices, so
-            # the per-dimension sets are built in several windows
+            # dimensions with many more selections than host indices, each
+            # set built bit by bit in one pass
             ((9,), Matrix01.from_nested([1, 0, 1])),
             ((9, 2), Matrix01.filled(Shape((3, 1)))),
             ((2, 10), Matrix01.from_nested([[0, 1, 1], [1, 0, 1]])),
             ((7, 2, 3), Matrix01.from_ones(Shape((3, 1, 2)), [(1, 1, 2), (3, 1, 1)])),
+            # 9,880 selections
+            ((40,), Matrix01.from_nested([1, 0, 1])),
         ],
     )
     def test_image_columns_of_long_dimensions(self, host, p):

@@ -235,3 +235,23 @@ class TestSweepSwitch:
         assert is_semisaturating(m, p) == SaturationReport(True)
         rep = is_saturating(m.flip(next(m.iter_zeros())), p)
         assert rep.failure_kind == "contains_pattern"
+
+    @pytest.mark.parametrize(
+        "n, l",
+        [
+            # 65,703 selections × 363 cells against 364 searches
+            (363, 2),
+            # 48,620 selections × 18 cells against 19 searches
+            (18, 9),
+        ],
+    )
+    def test_longest_swept_dimensions(self, n, l, monkeypatch):
+        m, p = Matrix01.zeros(Shape((n,))), Matrix01.filled(Shape((l,)))
+        monkeypatch.setattr(saturation, "_pinned_hits", self._refuse)
+        monkeypatch.setattr(saturation, "contains", self._refuse)
+        dead = SaturationReport(False, "dead_flip", (1,))
+        for verdict in (is_saturating, is_semisaturating):
+            saturation.image_columns.cache_clear()
+            start = time.perf_counter()
+            assert verdict(m, p) == dead
+            assert time.perf_counter() - start < 1.0

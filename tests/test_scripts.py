@@ -126,17 +126,25 @@ def test_bench_layers_small():
     data = json.loads(out)
     assert (data["layer"], data["rounds"], data["repeat"]) == ("verdict", 1, 1)
     rows = {row["row"]: row for row in data["rows"]}
-    assert set(rows) == {"I2 layers 6^2", "I3 layers 5^2", "I2 layers 3^3", "image_columns"}
+    assert set(rows) == {"I2 layers 6^2", "I3 layers 5^2", "I2 layers 3^3", "image_columns",
+                         "image_columns 40", "image_columns 2x12"}
     i2 = rows["I2 layers 6^2"]
     assert (i2["selections"], i2["cells"], i2["zeros"]) == (225, 36, 25)
+    long = rows["image_columns 2x12"]
+    assert (long["ones"], long["selections"], long["cells"], long["unit"]) == (2, 132, 24, "ms")
     for name, row in rows.items():
         first, second = row["sides"]
         assert first["src"] == second["src"] == src
-        figures = ["cold_us"] if name == "image_columns" else ["sweep", "per_flip"]
+        if name == "image_columns":
+            figures = ["cold_us"]
+        elif name.startswith("image_columns "):
+            figures = ["cold_ms"]
+        else:
+            figures = ["sweep", "per_flip"]
         for fig in figures:
             assert first[fig]["median"] > 0 and second[fig]["ratio"] > 0
             assert second[fig]["rounds_faster"] in (0, 1)
-        if name != "image_columns":
+        if not name.startswith("image_columns"):
             # tiny tables: the library sweeps them
             assert first["chosen"] == second["chosen"] == "sweep"
     # the anchored rows: per flipped 0-cell, the searches of the entries
