@@ -34,13 +34,30 @@ nested layers or a greedy host in a seeded cell order, and
 the flipped cell, one pinned search each.  Patterns of more entries run
 more searches per flip, which the end-to-end medians mix.
 
+The ``exact`` rows time the exact search:
+
+- ``exact_ssat C07 n=<n>``: ``exact_ssat`` on the n×n host of each of the
+  654 unbounded 2-D patterns up to 3×3, the patterns of satbench's C07
+  growth ops, in ms per pass, with each side's node total.  As in those ops,
+  each pattern's searches run in turn from n = 2 (only the one at n is
+  timed), so a pass does not cycle through more patterns than the
+  library's pattern cache keeps.  ``setup_ms`` times the same searches
+  each stopped by a node limit at its first branch-and-bound node: the
+  fixed set-up, whose share of the pass is ``setup_share``;
+- ``_support_tables <instance>``: the support walk of an identity pattern,
+  in µs;
+- ``exact_sat <instance>``: one search, in ms, with its nodes and nodes
+  per second.
+
 With two sources every figure also has the ratio of the second side's
 median to the first's and the rounds in which the second was faster.
 
 The JSON report goes to stdout.  The exit status is 1 if the two paths of a
-side disagree on a verdict report, or the two sides on an anchored witness.
-``--small`` runs tiny instances in 1 round of 1 run, as a smoke test.  Only
-the standard library, satmat and ``bench_pairs.py`` are used.
+side disagree on a verdict report, or the two sides on an anchored witness
+or on an exact search's value or witness.  ``--small`` runs tiny instances
+in 1 round of 1 run (the C07 rows at n = 3 on 20 of the patterns), as a
+smoke test.  Only the standard library, satmat and ``bench_pairs.py`` are
+used.
 """
 
 from __future__ import annotations
@@ -51,6 +68,7 @@ import json
 import sys
 import time
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 from bench_pairs import environment, spread  # scripts/ is sys.path[0]
@@ -78,10 +96,21 @@ LONG_TABLES = {
     True: [((40,), [1, 1]), ((2, 12), [[1, 1]])],
 }
 ALWAYS_SWEEP = 1 << 62  # above any table's bits per search
+C07_SIZES = {False: (2, 3, 4), True: (3,)}  # the host extents n of the C07 rows
+C07_SAMPLE = {False: None, True: 20}  # patterns, spread over the universe; None: all
+C07_CELLS = 16  # the growth ops' cell budget
+# (size s of I_s, host extents): the support-walk rows and the exact_sat row
+SUPPORT_HOSTS = {False: [(2, (6, 6)), (3, (5, 5)), (2, (4, 4, 4))], True: [(2, (4, 4))]}
+SUPPORT_LOOPS = {False: 20, True: 2}
+SAT_HOSTS = {False: [(3, (6, 6))], True: [(2, (4, 4))]}
 
 
 class Disagree(Exception):
     pass
+
+
+class Timed(tuple):
+    """(seconds, report) of a call that times only part of its work."""
 
 
 def load(src: Path):
@@ -156,6 +185,75 @@ def anchored(side, flipped, p, zeros):
     return [e and e.selections for e in map(search, flipped, [p] * len(zeros), zeros)]
 
 
+def c07_patterns(sm, small: bool):
+    """The unbounded 2-D patterns up to 3×3, as satbench's C07 growth ops
+    build them; a sample spread over them if ``small``."""
+    out = []
+    for ext in product(range(1, 4), repeat=2):
+        shape = sm.Shape(ext)
+        out += [p for p in (sm.Matrix01(shape, b) for b in range(1, 1 << shape.cell_count))
+                if not sm.classify_ssat(p).bounded]
+    size = C07_SAMPLE[small]
+    return out if size is None else out[:: len(out) // size][:size]
+
+
+def ssat_pass(side, patterns, n: int, setup: bool):
+    """Timed: ``exact_ssat`` at n of each pattern, its searches at 2 .. n - 1
+    run first and not timed; each (value, witness bits, nodes), or, with
+    ``setup``, each search stopped at its first branch-and-bound node."""
+    sm, containment = side[0], side[2]
+    budget = sm.SearchBudget(max_cells=C07_CELLS)
+    shapes = [sm.Shape((m, m)) for m in range(2, n + 1)]
+    took, found = 0.0, []
+    for p in patterns:
+        for shape in shapes[:-1]:
+            sm.exact_ssat(shape, p, budget)
+        shape = shapes[-1]
+        limit = containment.embeddings_count(shape, p) if setup else None
+        stop = sm.SearchBudget(max_cells=C07_CELLS, node_limit=limit)
+        start = time.perf_counter()
+        try:
+            r = sm.exact_ssat(shape, p, stop)
+            found.append((r.value, r.witness.bits, r.nodes))
+        except sm.BudgetExceededError as err:
+            found.append(err.nodes)
+        took += time.perf_counter() - start
+    return Timed((took, found))
+
+
+def support_walks(side, shape, p, loops: int):
+    exact = side[0].exact
+    for _ in range(loops):
+        exact._support_tables(shape, p, exact._Meter(side[0].SearchBudget()))
+
+
+def sat_search(side, shape, p):
+    r = side[0].exact_sat(shape, p, side[0].SearchBudget(max_cells=shape.cell_count))
+    return [(r.value, r.witness.bits, r.nodes)]
+
+
+def exact_hosts(sm, hosts, fn: str):
+    """(row name, host shape, pattern) per (s, extents) entry."""
+    for s, ext in hosts:
+        name = f"{fn} I{s} {'x'.join(map(str, ext))}"
+        yield name, sm.Shape(ext), sm.identity_pattern(len(ext), s)
+
+
+def exact_tasks(side, small: bool):
+    """The exact rows' (row, figure) -> (call, unit), as in ``tasks``."""
+    out = {}
+    patterns = c07_patterns(side[0], small)
+    for n in C07_SIZES[small]:
+        for fig, setup in (("pass_ms", False), ("setup_ms", True)):
+            out[f"exact_ssat C07 n={n}", fig] = partial(ssat_pass, side, patterns, n, setup), 1e-3
+    loops = SUPPORT_LOOPS[small]
+    for name, shape, p in exact_hosts(side[0], SUPPORT_HOSTS[small], "_support_tables"):
+        out[name, "walk_us"] = partial(support_walks, side, shape, p, loops), 1e-6 * loops
+    for name, shape, p in exact_hosts(side[0], SAT_HOSTS[small], "exact_sat"):
+        out[name, "search_ms"] = partial(sat_search, side, shape, p), 1e-3
+    return out
+
+
 def tasks(side, grid, small: bool):
     """(row, figure) -> (a call that runs it once, its unit in seconds)."""
     out = {}
@@ -171,7 +269,7 @@ def tasks(side, grid, small: bool):
         zeros = list(m.iter_zeros())
         flipped = [m.flip(z) for z in zeros]
         out[name, "anchored_us"] = partial(anchored, side, flipped, p, zeros), 1e-6 * len(zeros)
-    return out
+    return {**out, **exact_tasks(side, small)}
 
 
 def describe(side, grid, flip_grid, tables) -> dict[str, dict[str, object]]:
@@ -233,16 +331,27 @@ def one_round(sides, grid, r: int, repeat: int, small: bool) -> list[dict]:
             for i in order if (r + run) % 2 == 0 else order[::-1]:
                 call = work[i][key][0]
                 start = time.perf_counter()
-                reports[i][key] = call()
-                took = (time.perf_counter() - start) / unit
-                best[i][key] = min(best[i].get(key, took), took)
+                rep = call()
+                took = time.perf_counter() - start
+                if isinstance(rep, Timed):
+                    took, rep = rep
+                reports[i][key] = rep
+                best[i][key] = min(best[i].get(key, took / unit), took / unit)
     for side_reports in reports:
         for (name, fig), rep in side_reports.items():
             if fig == "per_flip" and rep != side_reports[name, "sweep"]:
                 raise Disagree(f"{name}: the sweep and per-flip reports differ")
             if fig == "anchored_us" and rep != reports[0][name, fig]:
                 raise Disagree(f"{name}: the sides' anchored witnesses differ")
+            if fig in ("pass_ms", "search_ms") and answers(rep) != answers(
+                    reports[0][name, fig]):
+                raise Disagree(f"{name}: the sides' values or witnesses differ")
     return best
+
+
+def answers(found):
+    """The (value, witness bits) of each exact search, without its nodes."""
+    return [r[:2] for r in found]
 
 
 def summary(values: list[float]) -> dict[str, object]:
@@ -250,9 +359,32 @@ def summary(values: list[float]) -> dict[str, object]:
     return {"median": mid, "quartiles": [q1, q3]}
 
 
+def describe_exact(side, small: bool) -> dict[str, dict[str, object]]:
+    """Per exact row: its sizes, and the side's ``nodes`` of a C07 pass or
+    of the ``exact_sat`` search."""
+    sm, exact = side[0], side[0].exact
+    out: dict[str, dict[str, object]] = {}
+    patterns = c07_patterns(sm, small)
+    for n in C07_SIZES[small]:
+        _, found = ssat_pass(side, patterns, n, False)
+        out[f"exact_ssat C07 n={n}"] = {"n": n, "patterns": len(patterns),
+                                        "nodes": sum(r[2] for r in found)}
+    for name, shape, p in exact_hosts(sm, SUPPORT_HOSTS[small], "_support_tables"):
+        supports = exact._support_tables(shape, p, exact._Meter(sm.SearchBudget()))
+        out[name] = {"selections": side[2].embeddings_count(shape, p),
+                     "supports": sum(map(len, supports))}
+    for name, shape, p in exact_hosts(sm, SAT_HOSTS[small], "exact_sat"):
+        [(value, _, nodes)] = sat_search(side, shape, p)
+        out[name] = {"value": value, "nodes": nodes}
+    return out
+
+
+PER_SIDE = ("chosen", "nodes")  # described figures that each side reports
+
+
 def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]:
     """Per row and figure, each side's summary, and the second side's ratio."""
-    rows, flips = [], []
+    rows, flips, exact = [], [], []
     names = dict.fromkeys(name for name, _ in runs[0][0])
     for name in names:
         figures = [fig for row, fig in runs[0][0] if row == name]
@@ -260,15 +392,19 @@ def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]
         if name == "image_columns":
             row.update(host="4x4", pattern="I3", unit="us")
         else:
-            row.update({k: v for k, v in described[0][name].items() if k != "chosen"})
-            row["unit"] = "us" if figures == ["anchored_us"] else "ms"
+            row.update({k: v for k, v in described[0][name].items() if k not in PER_SIDE})
+            row["unit"] = "us" if figures[0].endswith("_us") else "ms"
         sides = []
         for src, side_runs, desc in zip(srcs, runs, described):
             side: dict[str, object] = {"src": str(src)}  # as given
             for fig in figures:
                 side[fig] = summary([r[name, fig] for r in side_runs])
-            if "chosen" in desc.get(name, {}):
-                side["chosen"] = desc[name]["chosen"]
+            side.update({k: v for k, v in desc.get(name, {}).items() if k in PER_SIDE})
+            if "setup_ms" in side:
+                side["setup_share"] = round(
+                    side["setup_ms"]["median"] / side["pass_ms"]["median"], 3)
+            if "search_ms" in side:
+                side["nodes_per_s"] = round(side["nodes"] / side["search_ms"]["median"] * 1e3)
             sides.append(side)
         if len(srcs) == 2:
             for fig in figures:
@@ -277,9 +413,13 @@ def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]
                     sides[1][fig]["median"] / sides[0][fig]["median"], 3)
                 sides[1][fig]["rounds_faster"] = sum(b < a for a, b in zip(old, new))
         row["sides"] = sides
-        (flips if figures == ["anchored_us"] else rows).append(row)
+        if figures == ["anchored_us"]:
+            flips.append(row)
+        else:
+            (exact if name.startswith(("exact_", "_support_tables")) else rows).append(row)
     return {"layer": "verdict", "rounds": rounds, "repeat": repeat,
-            "environment": environment(), "rows": rows, "anchored": flips}
+            "environment": environment(), "rows": rows, "anchored": flips,
+            "exact": exact}
 
 
 def main(argv=None) -> int:
@@ -296,8 +436,9 @@ def main(argv=None) -> int:
         for r in range(rounds):
             sides = [load(src) for src in args.src]
             if r == 0:
-                described = [describe(side, grid, FLIP_GRID[args.small],
-                                      LONG_TABLES[args.small]) for side in sides]
+                described = [{**describe(side, grid, FLIP_GRID[args.small],
+                                         LONG_TABLES[args.small]),
+                              **describe_exact(side, args.small)} for side in sides]
             for side_runs, best in zip(runs, one_round(sides, grid, r, repeat,
                                                        args.small)):
                 side_runs.append(best)

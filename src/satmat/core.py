@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -44,25 +44,18 @@ class Shape:
             raise ValueError("shape needs at least one dimension")
         if any(n < 1 for n in self.extents):
             raise ValueError(f"extents must be positive, got {self.extents}")
+        # plain attributes: a cached_property takes a lock on its first read
+        object.__setattr__(self, "cell_count", prod(self.extents))
+        strides = [*accumulate(reversed(self.extents[1:]), mul, initial=1)]
+        object.__setattr__(self, "strides", tuple(reversed(strides)))
 
     @property
     def d(self) -> int:
         return len(self.extents)
 
     @cached_property
-    def cell_count(self) -> int:
-        return prod(self.extents)
-
-    @cached_property
     def diagonal_count(self) -> int:
         return prod(self.extents) - prod(n - 1 for n in self.extents)
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        s = [1] * self.d
-        for i in range(self.d - 2, -1, -1):
-            s[i] = s[i + 1] * self.extents[i + 1]
-        return tuple(s)
 
     @cached_property
     def full_mask(self) -> int:
@@ -324,7 +317,7 @@ class Matrix01:
     bits: int = 0
 
     def __post_init__(self):
-        if self.bits < 0 or self.bits & ~self.shape.full_mask:
+        if self.bits < 0 or self.bits >> self.shape.cell_count:
             raise ValueError("bits outside the cell range")
 
     # -- factories

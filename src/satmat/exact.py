@@ -34,9 +34,10 @@ live support, a guard bit per cell not decided 1 with a live support, and
 the bound.  The search is one loop over them and a stack of the put-in
 children still to visit.  Leaving a cell out and testing a put-in for a copy
 are each one AND with a precomputed row (cells x supports bits in all), and
-the ``ex`` bound and the witness read the guards: nothing is undone.  Every
-node is counted, a node cut by its bound too.  The clock is checked on the
-first node and every ``_TICK`` nodes after.
+the ``ex`` bound and the witness read the guards: nothing is undone.  A
+child whose bound already reaches the best leaf's cost is never made, since
+that cost only falls; every node made is counted, one its bound cuts later
+too.  The clock is checked on the first node and every ``_TICK`` nodes after.
 
 ``sat`` and ``ex`` also keep a frontier table (see ``_search``), as in
 Knuth's simpath (TAOCP 7.1.4) and the frontier-based search of Kawahara,
@@ -68,7 +69,7 @@ from .constructions import (
     identity_pattern,
 )
 from .containment import ENUMERATION_LIMIT, _check_dims, embeddings_count, image_offsets
-from .core import Matrix01, Shape, diagonals
+from .core import Matrix01, Shape, _packed, diagonals
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
 DEFAULT_SSAT_CELLS = 16  # exact_ssat
@@ -157,33 +158,32 @@ def _validate(shape: Shape, p: Matrix01) -> None:
         raise ValueError("pattern has no 1-entries")
 
 
-def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[list[int]]:
-    """Per-cell supports.
+def _support_tables(shape: Shape, p: Matrix01, meter: _Meter) -> list[dict[tuple[int, ...], None]]:
+    """Per-cell supports, each kept as the cells of the image it came from.
 
-    supports[z] holds, once each in first-seen order, the bitmasks S (not
-    containing z) such that S union {z} is the image of a selection of p.
-    Selections are injective, so every S has ``p.weight - 1`` cells and none
-    is a strict superset of another: every support is minimal.  The walk
-    sums the prefix dimensions' offsets once per prefix selection and adds
-    the last dimension's per selection.  Each selection counts as a node, so
-    budgets also bound the table construction, not just the search proper.
+    images[z] holds as keys, once each in first-seen order, the images of
+    the selections of p through z as their cells, ascending (selections keep
+    the row-major order); a support is an image without z.  Selections are
+    injective, so every support has ``p.weight - 1`` cells and none is a
+    strict superset of another: every support is minimal.  The walk sums the
+    prefix dimensions' offsets once per prefix selection and adds the last
+    dimension's per selection.  Each selection counts as a node, so budgets
+    also bound the table construction, not just the search proper.
     """
-    raw_supports: list[list[int]] = [[] for _ in range(shape.cell_count)]
+    images: list[dict[tuple[int, ...], None]] = [{} for _ in range(shape.cell_count)]
     *prefix, last = image_offsets(shape, p)
     zeros = (0,) * p.weight  # the prefix sum of a 1-D host
+    cell = [*range(shape.cell_count)].__getitem__  # images share one int per cell
     for pre in product(*prefix):
         firsts = [*map(sum, zip(zeros, *pre))]
         for offs in last:
             meter.nodes += 1
             if meter.nodes >= meter.next_check:
                 meter.tick()
-            cells = [*map(add, firsts, offs)]
-            e = 0
+            cells = (*map(cell, map(add, firsts, offs)),)
             for c in cells:
-                e |= 1 << c
-            for c in cells:
-                raw_supports[c].append(e ^ 1 << c)
-    return [list(dict.fromkeys(s)) for s in raw_supports]
+                images[c][cells] = None  # a repeat keeps its first place
+    return images
 
 
 def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) -> int:
@@ -191,9 +191,9 @@ def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) 
 
     A maximising search over the cells in order, 1 before 0, one loop over
     a stack: the leave-out child is pushed before the put-in child, so the
-    put-in subtree is searched first.  While the chosen cells avoid p,
-    adding t completes a copy iff a support of t is already chosen, and
-    that copy lies inside the chosen cells.
+    put-in subtree is searched first.  While the chosen cells avoid p, adding
+    t completes a copy iff a support of t (in ``supports[t]`` as the bits of
+    its image, t included) is already chosen, and that copy lies inside them.
     """
     length = len(cells)
     best = 0
@@ -210,7 +210,7 @@ def _block_capacity(cells: list[int], supports: list[list[int]], meter: _Meter) 
             continue
         t = cells[i]
         stack.append((i + 1, chosen, count))
-        if all(s & ~chosen for s in supports[t]):
+        if all(s & ~chosen ^ 1 << t for s in supports[t]):  # t is not chosen
             stack.append((i + 1, chosen | 1 << t, count + 1))
     return best
 
@@ -241,7 +241,8 @@ def _frontier_masks(
     """Per line start t, the masks that read t's frontier key off ``live``.
 
     The line starts are the positive multiples of the last extent below the
-    start of the last line.  Each cell's supports are sorted, so at every t
+    start of the last line.  ``supports[z]`` holds z's supports, sorted, as
+    the bits of their images (z sets the same bit in each), so at every t
     those sharing a future part ``s >> t`` form one contiguous run.
     ``tops`` holds the top bit of each run, ``ends`` the supports of the
     cells below t lying wholly below t and the guards of those cells, and
@@ -267,7 +268,7 @@ def _frontier_masks(
             if j < len(sups):
                 k = min(k, ((s ^ sups[j]).bit_length() - 1) // line)
             tops[k][i >> 3] |= 1 << (i & 7)
-            k = -(-max(s.bit_length(), z + 1) // line)  # s and z below k * line
+            k = -(-s.bit_length() // line)  # s and z below k * line
             if k <= levels:
                 ends[k][i >> 3] |= 1 << (i & 7)
             i += 1
@@ -316,9 +317,10 @@ def _search(
     or pushes its put-in child, if that avoids p, on the stack ``pending``
     and goes on in place into its leave-out child, or into its put-in child
     if t is forced; a node with no child to go on to pops ``pending``.  No
-    step changes an int or a table in place: nothing is undone.  Each node
-    is counted once, before it is expanded, also one cut by its bound (its
-    ``lb`` reaches the best cost) or by the frontier table.  A search whose
+    step changes an int or a table in place: nothing is undone.  A child
+    whose ``lb`` reaches the best cost, which never rises, is not made.  Each
+    node made is counted once, before it is expanded, also one cut by the
+    frontier table or, once popped, by its bound.  A search whose
     support table could exceed ``ENUMERATION_LIMIT`` supports, or whose
     rows could take more than ``_ROW_BITS`` bits in all, is refused before
     any table is built.  Aborts in the search carry the proven bounds.
@@ -365,37 +367,44 @@ def _search(
         raise BudgetExceededError(f"rows of up to {rows} bits exceed the row cap of {_ROW_BITS}")
     meter = _Meter(budget)
     cc = shape.cell_count
-    supports = _support_tables(shape, p, meter)
-    width = cc + sum(map(len, supports))
+    images = _support_tables(shape, p, meter)
+    width = cc + sum(map(len, images))
     # the frontier table's masks take width bits per line start
     frontier = require_avoid and 0 < (cc // shape.extents[-1] - 2) * width <= ENUMERATION_LIMIT
-    if frontier:  # the supports sharing a future part lie together
-        supports = [sorted(sups) for sups in supports]
+    supports: list[list[int]] = []  # each as its image's bits, for the masks and the quotas
+    if frontier or maximise:
+        for z, imgs in enumerate(images):
+            cells_of = {sum(1 << c for c in cells): cells for cells in imgs}
+            # the frontier masks want the supports sharing a future part together
+            supports.append(sorted(cells_of) if frontier else [*cells_of])
+            images[z] = [*map(cells_of.__getitem__, supports[z])]
 
     # keep[c] clears the supports holding c, closed[z] holds those of z lying
-    # wholly below z; ints from strings take linear time
-    keep: list = [bytearray(b"\xff") * (width + 7 >> 3) for _ in range(cc)]
+    # wholly below z; held[c] lists the supports holding c by bit index
+    held: list[list[int]] = [[] for _ in range(cc)]
     guard_of, closed = [], []
     i = 0
-    for z, sups in enumerate(supports):
+    for z, imgs in enumerate(images):
         start, local = i, 0
-        for s in sups:
-            if s.bit_length() <= z:
+        for cells in imgs:
+            if cells[-1] == z:
                 local |= 1 << i - start
-            while s:
-                low = s & -s
-                keep[low.bit_length() - 1][i >> 3] &= ~(1 << (i & 7))
-                s ^= low
+            for c in cells:
+                held[c].append(i)
             i += 1
+        del held[z][len(held[z]) - (i - start):]  # z's own supports do not hold z
         closed.append(local << start)
         guard_of.append(1 << i)
         i += 1
-    for z in range(cc):  # each row becomes an int and drops its bytes at once
+    full = (1 << width) - 1
+    keep = []
+    for bits in held:  # each row's bytes are dropped at once
         meter.check_time()
-        keep[z] = int.from_bytes(keep[z], "little")
-    guard = int(b"".join(b"1" + b"0" * len(sups) for sups in reversed(supports)), 2)
+        keep.append(full ^ _packed(width, bits))
+    del images, held
+    guard = _packed(width, (g.bit_length() - 1 for g in guard_of))
     base = (guard << 1 | 1) ^ 1 << width  # a field starts above the guard below
-    live = ((1 << width) - 1) ^ guard
+    live = full ^ guard
     lives = ((live | guard) - base) & guard
 
     if maximise:
@@ -436,7 +445,7 @@ def _search(
                         x = int.from_bytes(ones[low:high], "little") >> shift & mask
                         futures = families.get((t, g, x))
                         if futures is None:
-                            # the future parts of the supports of the runs in x
+                            # the runs' future parts; g's cell is below t, so images match supports
                             futures = frozenset(s >> t for j, s in enumerate(sups) if x >> j & 1)
                             if room > 0:
                                 families[t, g, x] = futures
@@ -469,14 +478,18 @@ def _search(
     del supports
 
     t, lb = 0, root
+    nodes, next_check = meter.nodes, meter.next_check  # meter.nodes is synced to tick
+    added = 0 if maximise else 1  # what putting a cell in adds to lb
     pending = []  # the put-in children still to visit, deepest last
     try:
         while True:
-            # a node cut by its bound or by the table is counted all the same
+            # a node cut by the table, or popped and cut by its bound, is counted
             cut = lb >= best or t in marks and seen(t, live, lives)
-            meter.nodes += 1
-            if meter.nodes >= meter.next_check:
+            nodes += 1
+            if nodes >= next_check:
+                meter.nodes = nodes
                 meter.tick()
+                next_check = meter.next_check
             if cut:
                 pass
             elif t == cc:
@@ -491,19 +504,21 @@ def _search(
                         t += 1
                         continue
                 else:
-                    if put:
-                        pending.append((t + 1, live, lives ^ g, lb + (not maximise)))
+                    # a child whose bound reaches best, which never rises, is not made
+                    if put and lb + added < best:
+                        pending.append((t + 1, live, lives ^ g, lb + added))
                     # leave t out first: lexicographically smaller
                     kept = live & keep[t]
                     left = lives & ((kept | guard) - base)
                     dead = lives ^ left
                     if not dead & g - 1:  # every cell decided 0 keeps a support
                         if maximise:  # a 0 past the quota: its 0s before t reach it
-                            lb += (before[t] & lives).bit_count() >= quota[t]
+                            out = lb + ((before[t] & lives).bit_count() >= quota[t])
                         else:  # the undecided cells whose last support died
-                            lb += (dead >> g.bit_length()).bit_count()
-                        t, live, lives = t + 1, kept, left
-                        continue
+                            out = lb + (dead >> g.bit_length()).bit_count()
+                        if out < best:
+                            t, live, lives, lb = t + 1, kept, left, out
+                            continue
             if not pending:
                 break
             t, live, lives, lb = pending.pop()
@@ -513,9 +528,10 @@ def _search(
         else:
             err.bounds = (root, best if best <= cc else None)
         raise
+    meter.nodes = nodes
     value = cc - best if maximise else best
-    bits = sum(1 << z for z, g in enumerate(guard_of) if not best_lives & g)
-    return SearchResult(value, Matrix01(shape, bits), meter.nodes)
+    bits = _packed(cc, (z for z, g in enumerate(guard_of) if not best_lives & g))
+    return SearchResult(value, Matrix01(shape, bits), nodes)
 
 
 def exact_ssat(shape: Shape, p: Matrix01, budget: SearchBudget = SearchBudget()) -> SearchResult:

@@ -1,6 +1,8 @@
+import math
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +48,29 @@ class TestShape:
         s = Shape(extents)
         assert s.cell_count == cells
         assert s.diagonal_count == diags
+
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    def test_cell_count_and_strides(self, extents):
+        # the product of the extents, and the row-major strides: the last
+        # dimension fastest, each stride the product of the extents after it
+        s = Shape(tuple(extents))
+        assert s.cell_count == math.prod(extents)
+        assert s.strides == tuple(math.prod(extents[i + 1 :]) for i in range(len(extents)))
+        assert s.flat_index(tuple(extents)) == sum((n - 1) * t for n, t in zip(extents, s.strides))
+
+    def test_a_huge_shape_allocates_nothing(self):
+        # a cell count of 10^27: the shape and a matrix on it are built from
+        # small ints, as the full mask is never made
+        tracemalloc.start()
+        try:
+            s = Shape((10**9,) * 3)
+            m = Matrix01(s, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s.cell_count, s.strides) == (10**27, (10**18, 10**9, 1))
+        assert m.weight == 2
+        assert peak < 64 * 1024
 
     def test_flat_round_trip(self):
         s = Shape((2, 3, 2))
@@ -170,8 +195,9 @@ class TestStaircases:
 
 class TestMatrix01:
     def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            Matrix01(Shape((2, 2)), 1 << 4)
+        for bits in (1 << 4, -1):
+            with pytest.raises(ValueError, match="bits outside the cell range"):
+                Matrix01(Shape((2, 2)), bits)
 
     def test_cell_limit(self):
         with pytest.raises(ValueError):

@@ -297,23 +297,23 @@ class TestSearchTree:
     @pytest.mark.parametrize(
         "ext,pattern,pins",
         [
-            ((5, 5), I2, {"ex": (9, 217), "sat": (9, 3760), "ssat": (4, 1306)}),
-            ((5, 5), I3, {"ex": (16, 222), "sat": (16, 8832), "ssat": (10, 4393)}),
+            ((5, 5), I2, {"ex": (9, 217), "sat": (9, 3739), "ssat": (4, 814)}),
+            ((5, 5), I3, {"ex": (16, 222), "sat": (16, 8802), "ssat": (10, 2811)}),
             (
                 (3, 3, 3),
                 identity_pattern(3, 2),
-                {"ex": (19, 131), "sat": (19, 2271), "ssat": (14, 405)},
+                {"ex": (19, 131), "sat": (19, 2259), "ssat": (14, 335)},
             ),
             (
                 (4, 4),
                 Matrix01.filled(Shape((3, 1))),
-                {"ex": (8, 3801), "sat": (8, 2529), "ssat": (8, 3371)},
+                {"ex": (8, 3485), "sat": (8, 1720), "ssat": (8, 1800)},
             ),
             # one diagonal is the whole host
             (
                 (10,),
                 Matrix01.from_nested([1, 0, 1]),
-                {"ex": (2, 236), "sat": (2, 181), "ssat": (2, 216)},
+                {"ex": (2, 236), "sat": (2, 174), "ssat": (2, 174)},
             ),
             # cannot fit: every put-in is forced and no cell has a live support
             ((2, 2), I3, {"ex": (4, 16), "sat": (4, 5), "ssat": (4, 5)}),
@@ -327,7 +327,7 @@ class TestSearchTree:
             (
                 (4, 4),
                 Matrix01.from_nested([[0, 1], [1, 0]]),
-                {"ex": (7, 456), "sat": (7, 381), "ssat": (4, 170)},
+                {"ex": (7, 403), "sat": (7, 362), "ssat": (4, 125)},
             ),
             # every support is empty, so every put-in completes a copy
             (
@@ -360,10 +360,10 @@ class TestFrontierTable:
     @pytest.mark.parametrize(
         "ext,pattern,quantity,pin",
         [
-            ((8, 8), I2, "sat", (15, 73110)),
-            ((5, 5), Matrix01.filled(Shape((3, 1))), "ex", (10, 18529)),
-            ((5, 5), Matrix01.filled(Shape((3, 1))), "sat", (10, 13257)),
-            ((4, 4, 4), identity_pattern(3, 2), "sat", (37, 218673)),
+            ((8, 8), I2, "sat", (15, 73076)),
+            ((5, 5), Matrix01.filled(Shape((3, 1))), "ex", (10, 17502)),
+            ((5, 5), Matrix01.filled(Shape((3, 1))), "sat", (10, 12004)),
+            ((4, 4, 4), identity_pattern(3, 2), "sat", (37, 218554)),
         ],
         ids=["I2-8x8", "column-5x5-ex", "column-5x5-sat", "I2-4x4x4"],
     )
@@ -398,14 +398,14 @@ class TestFrontierTable:
     @example((Matrix01.zeros(Shape((2, 2, 3))), identity_pattern(3, 2)))
     def test_masks_match_their_definitions(self, pair):
         # at each line start t but the last, over the sorted supports of
-        # every field: the tops of the runs of equal future parts, the
-        # supports of the cells below t lying wholly below t plus those
-        # cells' guards, and the first bit of t's field
+        # every field, each as the bits of its image: the tops of the runs of
+        # equal future parts, the supports of the cells below t lying wholly
+        # below t plus those cells' guards, and the first bit of t's field
         shape = pair[0].shape
         line = shape.extents[-1]
         assume(shape.cell_count >= 3 * line)  # the searches keep no table below
         meter = exact._Meter(SearchBudget())
-        supports = [sorted(s) for s in exact._support_tables(shape, pair[1], meter)]
+        supports = [sorted(s) for s in image_bits(shape, pair[1], meter)]
         width = shape.cell_count + sum(map(len, supports))
         expected = {}
         for t in range(line, shape.cell_count - line, line):
@@ -448,19 +448,31 @@ class TestSupportTables:
             )
             for sels in oracles.all_selections(shape, p.shape)
         ]
-        supports = exact._support_tables(shape, p, exact._Meter(SearchBudget()))
+        tables = exact._support_tables(shape, p, exact._Meter(SearchBudget()))
         for z in range(shape.cell_count):
             expected = [e ^ 1 << z for e in images if e >> z & 1]
-            assert supports[z] == list(dict.fromkeys(expected)), z
-            assert all(s.bit_count() == p.weight - 1 for s in supports[z])
+            supports = [sum(1 << c for c in cells) ^ 1 << z for cells in tables[z]]
+            assert supports == list(dict.fromkeys(expected)), z
+            assert all(s.bit_count() == p.weight - 1 for s in supports)
+            # each kept as the cells of the image it came from, ascending
+            assert list(tables[z]) == [
+                tuple(c for c in range(shape.cell_count) if (s | 1 << z) >> c & 1)
+                for s in supports
+            ]
+
+
+def image_bits(shape, p, meter):
+    """Per cell, the bits of the images through it, as the search reads them."""
+    return [[sum(1 << c for c in cells) for cells in imgs]
+            for imgs in exact._support_tables(shape, p, meter)]
 
 
 def block_caps(shape, p):
     """Capacity of every diagonal, computed from the search's supports."""
     meter = exact._Meter(SearchBudget())
-    supports = exact._support_tables(shape, p, meter)
+    images = image_bits(shape, p, meter)
     return [
-        exact._block_capacity([shape.flat_index(c) for c in diag], supports, meter)
+        exact._block_capacity([shape.flat_index(c) for c in diag], images, meter)
         for diag in diagonals(shape)
     ]
 
@@ -570,7 +582,7 @@ def test_answers_under_a_low_recursion_limit():
     # no search takes a stack frame per dimension or per cell, so 60 frames
     # above the caller's suffice: a 4-D containment, the ex capacities of a
     # 300-cell diagonal, and sat keeping its frontier table on I2 over 6x6
-    # (124,397 nodes without)
+    # (124,147 nodes without)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -585,5 +597,5 @@ def test_answers_under_a_low_recursion_limit():
         sys.setrecursionlimit(limit)
     assert found is not None and found.selections == ((1, 2),) * 4
     assert ex.value == 0
-    assert (sat.value, sat.nodes) == (11, 9319)
+    assert (sat.value, sat.nodes) == (11, 9285)
     assert sat == exact_sat(Shape((6, 6)), I2, SearchBudget(max_cells=36))

@@ -157,3 +157,26 @@ def test_bench_layers_small():
         first, second = row["sides"]
         assert 1 <= row["searches_per_flip"] <= row["entries"]
         assert first["anchored_us"]["median"] > 0 and second["anchored_us"]["ratio"] > 0
+    # the exact rows: a C07 ssat pass and its set-up, a support walk, a sat
+    # search, with each side's nodes
+    exact = {row["row"]: row for row in data["exact"]}
+    assert set(exact) == {"exact_ssat C07 n=3", "_support_tables I2 4x4", "exact_sat I2 4x4"}
+    c07 = exact["exact_ssat C07 n=3"]
+    assert (c07["n"], c07["patterns"], c07["unit"]) == (3, 20, "ms")
+    walk = exact["_support_tables I2 4x4"]
+    assert (walk["selections"], walk["supports"], walk["unit"]) == (36, 72, "us")
+    sat = exact["exact_sat I2 4x4"]
+    assert (sat["value"], sat["unit"]) == (7, "ms")
+    figures = {"exact_ssat C07 n=3": ["pass_ms", "setup_ms"],
+               "_support_tables I2 4x4": ["walk_us"], "exact_sat I2 4x4": ["search_ms"]}
+    for name, row in exact.items():
+        first, second = row["sides"]
+        assert [k for k in first if k.endswith(("_ms", "_us"))] == figures[name]
+        for fig in figures[name]:
+            assert first[fig]["median"] > 0 and second[fig]["ratio"] > 0
+            assert second[fig]["rounds_faster"] in (0, 1)
+    for row in (c07, sat):
+        first, second = row["sides"]
+        assert first["nodes"] == second["nodes"] > 0
+    assert all(side["setup_share"] > 0 for side in c07["sides"])
+    assert all(side["nodes_per_s"] > 0 for side in sat["sides"])
