@@ -10,10 +10,13 @@ first, so a drift in machine speed falls on both sides alike.
 
 The verdict rows are identity patterns I_s on their nested layers
 (``identity_layers`` with k = s − 1), on both sides of the switch between the
-two paths of ``is_saturating``/``is_semisaturating``:
+two paths of ``is_saturating``/``is_semisaturating``, and I2's offset blocks
+(``offset_block``) on the 6^2 and 6^3 hosts, as in satbench's C05 sweep:
 
 - ``sweep``: the selection table built cold, then both verdicts walking it
   (1 build + 2 walks);
+- ``walk``: both verdicts walking the table built beforehand, the pass over
+  the host's 0-cells alone, timed over repeated calls;
 - ``per_flip``: both verdicts by one pinned search per 0-cell, with a cold
   kernel plan.
 
@@ -79,6 +82,8 @@ GRID = [
     (4, 2, 11), (3, 2, 14), (3, 2, 12), (4, 2, 10), (2, 2, 26), (2, 3, 10),
 ]
 SMALL_GRID = [(2, 2, 6), (3, 2, 5), (2, 3, 3)]
+OFFSET_HOSTS = [(2, 6), (3, 6)]  # (d, n): I2's offset block on the n^d host
+WALK_LOOPS = {False: 20, True: 1}
 # (size s of I_s, d, n, greedy): I_s on the n^d host's nested layers, or on
 # its greedy host in the cell order of GREEDY_SEED, every 0-cell flipped
 FLIP_GRID = {
@@ -160,12 +165,31 @@ def long_tables(sm, tables):
         yield name, sm.Shape(extents), sm.Matrix01.from_nested(rows)
 
 
+def walks(side, m, p, loops: int):
+    """Timed: both verdict reports of m, ``loops`` times, swept on the table
+    built before the clock starts."""
+    sm, saturation, containment = side
+    saved = saturation.SWEEP_LIMIT
+    containment.image_columns(m.shape, p)
+    saturation.SWEEP_LIMIT = ALWAYS_SWEEP
+    try:
+        start = time.perf_counter()
+        for _ in range(loops):
+            reports = sm.is_saturating(m, p), sm.is_semisaturating(m, p)
+        return Timed((time.perf_counter() - start, reports))
+    finally:
+        saturation.SWEEP_LIMIT = saved
+
+
 def hosts(sm, grid):
-    """(row name, host, pattern) per grid entry."""
+    """(row name, host, pattern) per grid entry, then per offset block."""
     for s, d, n in grid:
         shape = sm.Shape((n,) * d)
         m, p = sm.identity_layers(shape, s - 1), sm.identity_pattern(d, s)
         yield f"I{s} layers {n}^{d}", m, p
+    for d, n in OFFSET_HOSTS:
+        p = sm.identity_pattern(d, 2)
+        yield f"I2 offset {n}^{d}", sm.offset_block(p, n), p
 
 
 def flip_hosts(sm, grid):
@@ -257,8 +281,10 @@ def exact_tasks(side, small: bool):
 def tasks(side, grid, small: bool):
     """(row, figure) -> (a call that runs it once, its unit in seconds)."""
     out = {}
+    walk_loops = WALK_LOOPS[small]
     for name, m, p in hosts(side[0], grid):
         out[name, "sweep"] = partial(verdicts, side, m, p, ALWAYS_SWEEP), 1e-3
+        out[name, "walk"] = partial(walks, side, m, p, walk_loops), 1e-3 * walk_loops
         out[name, "per_flip"] = partial(verdicts, side, m, p, -1), 1e-3
     loops = TABLE_LOOPS[small]
     out["image_columns", "cold_us"] = partial(cold_tables, side, loops), 1e-6 * loops
@@ -339,8 +365,8 @@ def one_round(sides, grid, r: int, repeat: int, small: bool) -> list[dict]:
                 best[i][key] = min(best[i].get(key, took / unit), took / unit)
     for side_reports in reports:
         for (name, fig), rep in side_reports.items():
-            if fig == "per_flip" and rep != side_reports[name, "sweep"]:
-                raise Disagree(f"{name}: the sweep and per-flip reports differ")
+            if fig in ("walk", "per_flip") and rep != side_reports[name, "sweep"]:
+                raise Disagree(f"{name}: the sweep and {fig} reports differ")
             if fig == "anchored_us" and rep != reports[0][name, fig]:
                 raise Disagree(f"{name}: the sides' anchored witnesses differ")
             if fig in ("pass_ms", "search_ms") and answers(rep) != answers(

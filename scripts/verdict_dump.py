@@ -7,11 +7,13 @@ bits), then the report: verdict, failure kind and counterexample (a 1-based
 cell, or an embedding's selections).  The instances are seeded random hosts
 and patterns with d in {1, 2, 3}, at most 5 per host extent and 3 per pattern
 extent, at several densities; the full dump adds 30 swept hosts with one
-long dimension (``long_instances``).  Every instance is answered twice:
-first as the library chooses (the whole-selection sweep at these sizes),
-then with ``saturation.SWEEP_LIMIT`` forced to -1, so every verdict runs
-one pinned search per 0-cell.  A change that keeps every report leaves
-the dump byte-identical:
+long dimension (``long_instances``) and 80 offset blocks of C05's patterns
+on n^d hosts for n = 5, 6 and d = 2, 3, each also with one cell flipped
+(``offset_instances``).  Every instance is answered twice: first as the
+library chooses (the whole-selection sweep at these sizes), then with
+``saturation.SWEEP_LIMIT`` forced to -1, so every verdict runs one pinned
+search per 0-cell.  A change that keeps every report leaves the dump
+byte-identical:
 
     PYTHONPATH=src python3 scripts/verdict_dump.py > new.txt
     PYTHONPATH=../parent/src python3 scripts/verdict_dump.py > old.txt
@@ -23,6 +25,8 @@ well under a second.
 
 import argparse
 import random
+from itertools import product
+from math import prod
 
 import satmat.saturation as saturation
 from satmat import (
@@ -32,6 +36,7 @@ from satmat import (
     embeddings_count,
     is_saturating,
     is_semisaturating,
+    offset_block,
 )
 
 VERDICTS = {"sat": is_saturating, "ssat": is_semisaturating}
@@ -87,6 +92,25 @@ def long_instances(count):
     return out
 
 
+def offset_instances(count):
+    """Offset blocks of C05's patterns (2-D and 3-D, at most 8 cells and
+    extent 5), count // 4 for each of d = 2, 3 and n = 5, 6, each block
+    followed by the block with one cell flipped: a 0-cell or a 1-cell in
+    turn, where the block has one."""
+    rng = random.Random(3)
+    out = []
+    for d, n in product((2, 3), (5, 6)):
+        shapes = [Shape(ext) for ext in product(range(1, 6), repeat=d)
+                  if prod(ext) <= 8 and max(ext) <= n]
+        for i in range(count // 4):
+            shape = rng.choice(shapes)
+            p = Matrix01(shape, rng.randrange(1, 1 << shape.cell_count))
+            m = offset_block(p, n, rng.choice(list(p.iter_ones())))
+            cells = [c for c in m.shape.cells() if m.get(c) == i % 2] or [(1,) * d]
+            out += [(m, p), (m.flip(rng.choice(cells)), p)]
+    return out
+
+
 def line(path, name, m, p):
     rep = VERDICTS[name](m, p)
     cx = rep.counterexample
@@ -106,7 +130,10 @@ def line(path, name, m, p):
 
 
 def dump(small):
-    pairs = instances(60) if small else instances(4000) + long_instances(30)
+    if small:
+        pairs = instances(60)
+    else:
+        pairs = instances(4000) + long_instances(30) + offset_instances(80)
     for path, limit in (("sweep", saturation.SWEEP_LIMIT), ("per-flip", -1)):
         saved = saturation.SWEEP_LIMIT
         saturation.SWEEP_LIMIT = limit

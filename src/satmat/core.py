@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import prod
 from operator import mul
@@ -32,6 +31,29 @@ class ParseError(ValueError):
     """Raised for malformed .01m text."""
 
 
+class _lazy:
+    """An attribute computed on its first read and stored in the instance.
+
+    ``functools.cached_property`` does the same but takes a lock on each
+    first read on CPython 3.11 and older, which every new host pays.  This
+    is a non-data descriptor, so a later read finds the value in the
+    instance ``__dict__`` first; writing there also gets past a frozen
+    dataclass's ``__setattr__``.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Shape:
     """Extents n_1..n_d of a d-dimensional matrix."""
@@ -44,7 +66,7 @@ class Shape:
             raise ValueError("shape needs at least one dimension")
         if any(n < 1 for n in self.extents):
             raise ValueError(f"extents must be positive, got {self.extents}")
-        # plain attributes: a cached_property takes a lock on its first read
+        # plain attributes: every host reads them, so nothing is deferred
         object.__setattr__(self, "cell_count", prod(self.extents))
         strides = [*accumulate(reversed(self.extents[1:]), mul, initial=1)]
         object.__setattr__(self, "strides", tuple(reversed(strides)))
@@ -53,11 +75,11 @@ class Shape:
     def d(self) -> int:
         return len(self.extents)
 
-    @cached_property
+    @_lazy
     def diagonal_count(self) -> int:
         return prod(self.extents) - prod(n - 1 for n in self.extents)
 
-    @cached_property
+    @_lazy
     def full_mask(self) -> int:
         return (1 << self.cell_count) - 1
 
@@ -400,7 +422,7 @@ class Matrix01:
     # -- containment kernel support: the run of cells along the last
     # dimension at each (d-1)-prefix is one contiguous bit field.
 
-    @cached_property
+    @_lazy
     def _last_lines(self) -> list[int]:
         n_last = self.shape.extents[-1]
         mask = (1 << n_last) - 1

@@ -9,22 +9,27 @@ For an all-zero pattern we follow the convention that keeps the minimum
 saturating weight at zero: is_saturating is true exactly for the all-zero
 matrix and is_semisaturating is true for every matrix.
 
-Both verdicts share one decision.  While the table holds at most
+Both verdicts share one decision.  Either path reads the host's 0-cells
+off one flag byte per cell, made from the inverted bits in one pass, and
+``itertools.compress`` gathers them in C.  While the table holds at most
 ``SWEEP_LIMIT`` bits per search that the other path would run, they sweep
 the cached cell-major selection table (``containment.image_columns``: per
-host cell, the selections whose image holds it), walking the host's 0-cells
-with a few big-int operations each: a selection whose image misses exactly
-one 0-cell makes that cell a productive flip, and a selection missing none
-is a pre-existing copy, the lowest one being the lexicographically least.
-Otherwise the table costs more than it saves, so they run one pinned search
-per 0-cell, which asks whether the flipped host has a copy through that
-cell.  Both paths give the same verdicts and the same counterexamples: the
+host cell, the selections whose image holds it) over the 0-cells' columns:
+a selection whose image holds none of them is a pre-existing copy, the
+lowest one being the lexicographically least, and a selection whose image
+holds exactly one 0-cell makes that cell a productive flip.  Otherwise the
+table costs more than it saves, so they run one pinned search per 0-cell,
+which asks whether the flipped host has a copy through that cell.  Both
+paths give the same verdicts and the same counterexamples: the
 row-major-first dead flip, or the lexicographically least copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .containment import (
     Embedding,
@@ -42,6 +47,9 @@ from .core import Coord, Matrix01
 # table bits (selections × cells) per search of the per-flip path, one per
 # 0-cell plus one (``contains``); beyond this the verdicts use that path
 SWEEP_LIMIT = 1 << 16
+
+# the binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -65,30 +73,6 @@ def avoids(m: Matrix01, p: Matrix01) -> bool:
     return contains(m, p) is None
 
 
-def _flip_cover(m: Matrix01, p: Matrix01) -> tuple[int, int, list[tuple[int, int]]]:
-    """(once, single, walked): m's 0-cells swept over the cell-major table.
-
-    ``walked`` pairs each 0-cell z of m (flat index, ascending) with its
-    column ``col[z]``, the selections whose image holds z.  ``once`` holds
-    the selections whose image holds some 0-cell and ``single`` those
-    holding exactly one.  A selection outside ``once`` is a copy of p in
-    m; the lowest one is the lexicographically least.  A 0-cell z is a
-    productive flip iff ``col[z] & single``.
-    """
-    cols = image_columns(m.shape, p)
-    walked = []
-    once = twice = 0
-    inv = m.shape.full_mask ^ m.bits
-    while inv:
-        z = (inv & -inv).bit_length() - 1
-        col = cols[z]
-        twice |= once & col
-        once |= col
-        walked.append((z, col))
-        inv &= inv - 1
-    return once, once & ~twice, walked
-
-
 def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationReport:
     """Every flip makes a copy through the flipped cell (and, if asked, m avoids p).
 
@@ -97,25 +81,40 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
     """
     count = embeddings_count(m.shape, p)
     cells = m.shape.cell_count
+    # byte k is 1 iff cell k is a 0-cell: the inverted bits as a reversed
+    # binary numeral, which stops at m's highest 0-cell
+    flags = bin(m.shape.full_mask ^ m.bits)[:1:-1].encode().translate(_DIGIT_BYTES)
     if count * cells <= SWEEP_LIMIT * (cells - m.weight + 1):
-        once, single, walked = _flip_cover(m, p)
+        # per 0-cell, its column: the selections whose image holds it
+        zcols = [*compress(image_columns(m.shape, p), flags)]
         if must_avoid:
-            # the lowest selection outside once
+            # a selection whose image holds no 0-cell is a copy; the lowest
+            # one is the lexicographically least
+            once = reduce(or_, zcols, 0)
             k = ((once + 1) & ~once).bit_length() - 1
             if k < count:
                 emb = _embedding_at(m.shape, p.shape, k)
                 return SaturationReport(False, "contains_pattern", emb)
-        for z, col in walked:
-            if not col & single:
-                return SaturationReport(False, "dead_flip", m.shape.coord_at(z))
-        return _OK
+        once = twice = 0
+        for col in zcols:
+            twice |= once & col
+            once |= col
+        # the selections whose image holds exactly one 0-cell, which a flip
+        # there turns into a copy
+        single = once & ~twice
+        if all(map(single.__and__, zcols)):
+            return _OK
+        # the first dead flip
+        zeros = compress(range(cells), flags)
+        z = next(z for z, col in zip(zeros, zcols) if not col & single)
+        return SaturationReport(False, "dead_flip", m.shape.coord_at(z))
 
     if must_avoid:
         emb = contains(m, p)
         if emb is not None:
             return SaturationReport(False, "contains_pattern", emb)
     plan = _plan(m.shape.extents, p)
-    for z in m.iter_zeros():
+    for z in map(m.shape.coord_at, compress(range(cells), flags)):
         hits = _pinned_hits(_lines_with_flip(m, z), plan, z)
         if next(hits, None) is None:
             return SaturationReport(False, "dead_flip", z)

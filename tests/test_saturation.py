@@ -1,4 +1,7 @@
+import random
 import time
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -18,6 +21,7 @@ from satmat import (
     identity_pattern,
     is_saturating,
     is_semisaturating,
+    offset_block,
 )
 
 I2 = identity_pattern(2, 2)
@@ -255,3 +259,67 @@ class TestSweepSwitch:
             start = time.perf_counter()
             assert verdict(m, p) == dead
             assert time.perf_counter() - start < 1.0
+
+
+class TestZeroCellWalk:
+    """Both paths walk the 0-cells read off the host's inverted bits."""
+
+    @staticmethod
+    def _hosts(d, n):
+        """Offset blocks of C05's patterns on the n^d host, each also with one
+        cell flipped, next to all-one, all-zero and random hosts."""
+        rng = random.Random(10 * d + n)
+        shape = Shape((n,) * d)
+        shapes = [Shape(ext) for ext in product(range(1, 6), repeat=d)
+                  if prod(ext) <= 8 and max(ext) <= n]
+        for _ in range(4):
+            ps = rng.choice(shapes)
+            p = Matrix01(ps, rng.randrange(1, 1 << ps.cell_count))
+            m = offset_block(p, n, rng.choice(list(p.iter_ones())))
+            yield m, p
+            yield m.flip(tuple(rng.randint(1, n) for _ in range(d))), p
+            yield Matrix01.filled(shape), p
+            yield Matrix01.zeros(shape), p
+            # the cells from a random one up are all 1s, so the host's
+            # inverted bits stop short of its cell count
+            top = rng.randrange(1, shape.cell_count)
+            yield Matrix01(shape, rng.randrange(1 << top) | shape.full_mask >> top << top), p
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (2, 6), (3, 5), (3, 6)])
+    def test_sweep_and_per_flip_reports_agree(self, d, n, monkeypatch):
+        # hosts beyond the hypothesis strategy's 12 cells, whole reports
+        for m, p in self._hosts(d, n):
+            reports = []
+            for limit in (1 << 62, -1):  # every table swept, then none
+                monkeypatch.setattr(saturation, "SWEEP_LIMIT", limit)
+                reports.append([is_saturating(m, p), is_semisaturating(m, p)])
+            assert reports[0] == reports[1], (m, p)
+
+    def test_per_flip_path_calls_no_iter_zeros(self, monkeypatch):
+        rng = random.Random(26)
+        hosts = [Matrix01(Shape((4, 4)), rng.randrange(1 << 16)) for _ in range(20)]
+        hosts.append(identity_layers(Shape((4, 4)), 1))
+        want = [
+            (oracles.brute_is_saturating(m, I2), oracles.brute_is_semisaturating(m, I2))
+            for m in hosts
+        ]
+
+        def refuse(self):
+            raise AssertionError("the verdict called iter_zeros")
+
+        monkeypatch.setattr(Matrix01, "iter_zeros", refuse)
+        monkeypatch.setattr(saturation, "SWEEP_LIMIT", -1)
+        got = [(is_saturating(m, I2).verdict, is_semisaturating(m, I2).verdict) for m in hosts]
+        assert got == want
+        assert want[-1] == (True, True)
+        dead = SaturationReport(False, "dead_flip", (1, 1))
+        assert is_saturating(Matrix01.zeros(Shape((4, 4))), I2) == dead
+
+    def test_per_flip_verdict_is_linear_in_cells(self, monkeypatch):
+        # 89,401 0-cells of 90,000: walking them by peeling bits off the
+        # inverted host copies it per cell, 0.5 s of this verdict's 1.5 s
+        m = identity_layers(Shape((300, 300)), 1)
+        monkeypatch.setattr(saturation, "image_columns", TestSweepSwitch._refuse)
+        start = time.perf_counter()
+        assert is_saturating(m, I2) == SaturationReport(True)
+        assert time.perf_counter() - start < 15.0

@@ -126,10 +126,13 @@ def test_bench_layers_small():
     data = json.loads(out)
     assert (data["layer"], data["rounds"], data["repeat"]) == ("verdict", 1, 1)
     rows = {row["row"]: row for row in data["rows"]}
-    assert set(rows) == {"I2 layers 6^2", "I3 layers 5^2", "I2 layers 3^3", "image_columns",
-                         "image_columns 40", "image_columns 2x12"}
+    assert set(rows) == {"I2 layers 6^2", "I3 layers 5^2", "I2 layers 3^3", "I2 offset 6^2",
+                         "I2 offset 6^3", "image_columns", "image_columns 40",
+                         "image_columns 2x12"}
     i2 = rows["I2 layers 6^2"]
     assert (i2["selections"], i2["cells"], i2["zeros"]) == (225, 36, 25)
+    offset = rows["I2 offset 6^3"]
+    assert (offset["selections"], offset["cells"], offset["zeros"]) == (3375, 216, 125)
     long = rows["image_columns 2x12"]
     assert (long["ones"], long["selections"], long["cells"], long["unit"]) == (2, 132, 24, "ms")
     for name, row in rows.items():
@@ -140,7 +143,8 @@ def test_bench_layers_small():
         elif name.startswith("image_columns "):
             figures = ["cold_ms"]
         else:
-            figures = ["sweep", "per_flip"]
+            figures = ["sweep", "walk", "per_flip"]
+        assert [k for k in first if k not in ("src", "chosen")] == figures
         for fig in figures:
             assert first[fig]["median"] > 0 and second[fig]["ratio"] > 0
             assert second[fig]["rounds_faster"] in (0, 1)
