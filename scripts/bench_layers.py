@@ -47,6 +47,11 @@ The ``exact`` rows time the exact search:
   library's pattern cache keeps.  ``setup_ms`` times the same searches
   each stopped by a node limit at its first branch-and-bound node: the
   fixed set-up, whose share of the pass is ``setup_share``;
+- ``is_semisaturating C07 n=<n>``: the verdict on each C07 pattern's
+  ``exact_ssat`` witness at n, as the growth ops check it, in µs per
+  verdict: ``after_us`` right after the search, ``cold_us`` with the
+  search's kept rows and the selection table dropped first (a version that
+  keeps no rows builds the table in both);
 - ``_support_tables <instance>``: the support walk of an identity pattern,
   in µs;
 - ``exact_sat <instance>``: one search, in ms, with its nodes and nodes
@@ -56,11 +61,11 @@ With two sources every figure also has the ratio of the second side's
 median to the first's and the rounds in which the second was faster.
 
 The JSON report goes to stdout.  The exit status is 1 if the two paths of a
-side disagree on a verdict report, or the two sides on an anchored witness
-or on an exact search's value or witness.  ``--small`` runs tiny instances
-in 1 round of 1 run (the C07 rows at n = 3 on 20 of the patterns), as a
-smoke test.  Only the standard library, satmat and ``bench_pairs.py`` are
-used.
+side disagree on a verdict report, a witness verdict's after the search and
+cold too, or the two sides on an anchored witness or on an exact search's
+value or witness.  ``--small`` runs tiny instances in 1 round of 1 run (the
+C07 rows at n = 3 on 20 of the patterns), as a smoke test.  Only the
+standard library, satmat and ``bench_pairs.py`` are used.
 """
 
 from __future__ import annotations
@@ -104,6 +109,7 @@ ALWAYS_SWEEP = 1 << 62  # above any table's bits per search
 C07_SIZES = {False: (2, 3, 4), True: (3,)}  # the host extents n of the C07 rows
 C07_SAMPLE = {False: None, True: 20}  # patterns, spread over the universe; None: all
 C07_CELLS = 16  # the growth ops' cell budget
+WITNESS_SIZES = {False: (3, 4), True: (3,)}  # the host extents n of the witness rows
 # (size s of I_s, host extents): the support-walk rows and the exact_sat row
 SUPPORT_HOSTS = {False: [(2, (6, 6)), (3, (5, 5)), (2, (4, 4, 4))], True: [(2, (4, 4))]}
 SUPPORT_LOOPS = {False: 20, True: 2}
@@ -245,6 +251,26 @@ def ssat_pass(side, patterns, n: int, setup: bool):
     return Timed((took, found))
 
 
+def witness_verdicts(side, patterns, n: int, cold: bool):
+    """Timed: ``is_semisaturating`` of each pattern's ``exact_ssat`` witness
+    at n, right after its search, or with ``cold`` once the search's kept
+    rows and the selection table are dropped; the reports."""
+    sm, containment = side[0], side[2]
+    budget = sm.SearchBudget(max_cells=C07_CELLS)
+    shape = sm.Shape((n, n))
+    kept = getattr(containment, "_search_rows", [None])  # a version without them keeps none
+    took, reports = 0.0, []
+    for p in patterns:
+        witness = sm.exact_ssat(shape, p, budget).witness
+        if cold:
+            kept[0] = None
+            containment.image_columns.cache_clear()
+        start = time.perf_counter()
+        reports.append(sm.is_semisaturating(witness, p))
+        took += time.perf_counter() - start
+    return Timed((took, reports))
+
+
 def support_walks(side, shape, p, loops: int):
     exact = side[0].exact
     for _ in range(loops):
@@ -270,6 +296,11 @@ def exact_tasks(side, small: bool):
     for n in C07_SIZES[small]:
         for fig, setup in (("pass_ms", False), ("setup_ms", True)):
             out[f"exact_ssat C07 n={n}", fig] = partial(ssat_pass, side, patterns, n, setup), 1e-3
+    for n in WITNESS_SIZES[small]:
+        unit = 1e-6 * len(patterns)
+        for fig, cold in (("after_us", False), ("cold_us", True)):
+            out[f"is_semisaturating C07 n={n}", fig] = (
+                partial(witness_verdicts, side, patterns, n, cold), unit)
     loops = SUPPORT_LOOPS[small]
     for name, shape, p in exact_hosts(side[0], SUPPORT_HOSTS[small], "_support_tables"):
         out[name, "walk_us"] = partial(support_walks, side, shape, p, loops), 1e-6 * loops
@@ -367,6 +398,8 @@ def one_round(sides, grid, r: int, repeat: int, small: bool) -> list[dict]:
         for (name, fig), rep in side_reports.items():
             if fig in ("walk", "per_flip") and rep != side_reports[name, "sweep"]:
                 raise Disagree(f"{name}: the sweep and {fig} reports differ")
+            if fig == "after_us" and rep != side_reports[name, "cold_us"]:
+                raise Disagree(f"{name}: the reports after the search and cold differ")
             if fig == "anchored_us" and rep != reports[0][name, fig]:
                 raise Disagree(f"{name}: the sides' anchored witnesses differ")
             if fig in ("pass_ms", "search_ms") and answers(rep) != answers(
@@ -395,6 +428,8 @@ def describe_exact(side, small: bool) -> dict[str, dict[str, object]]:
         _, found = ssat_pass(side, patterns, n, False)
         out[f"exact_ssat C07 n={n}"] = {"n": n, "patterns": len(patterns),
                                         "nodes": sum(r[2] for r in found)}
+    for n in WITNESS_SIZES[small]:
+        out[f"is_semisaturating C07 n={n}"] = {"n": n, "patterns": len(patterns)}
     for name, shape, p in exact_hosts(sm, SUPPORT_HOSTS[small], "_support_tables"):
         supports = exact._support_tables(shape, p, exact._Meter(sm.SearchBudget()))
         out[name] = {"selections": side[2].embeddings_count(shape, p),
@@ -442,7 +477,8 @@ def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]
         if figures == ["anchored_us"]:
             flips.append(row)
         else:
-            (exact if name.startswith(("exact_", "_support_tables")) else rows).append(row)
+            exact_row = name.startswith(("exact_", "is_semisaturating", "_support_tables"))
+            (exact if exact_row else rows).append(row)
     return {"layer": "verdict", "rounds": rounds, "repeat": repeat,
             "environment": environment(), "rows": rows, "anchored": flips,
             "exact": exact}

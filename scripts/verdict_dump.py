@@ -12,7 +12,13 @@ on n^d hosts for n = 5, 6 and d = 2, 3, each also with one cell flipped
 (``offset_instances``).  Every instance is answered twice: first as the
 library chooses (the whole-selection sweep at these sizes), then with
 ``saturation.SWEEP_LIMIT`` forced to -1, so every verdict runs one pinned
-search per 0-cell.  A change that keeps every report leaves the dump
+search per 0-cell.  Then the "rows" section answers the seeded instances
+again, each right after an ``exact_ssat`` on its (shape, pattern), stopped
+by a node limit at its first branch-and-bound node: the search's rows are
+built by then, and a version that keeps them answers from them while they
+fit its bound (an all-zero pattern runs no search).  Run on a version
+without them, the section repeats the table path, so comparing two versions
+compares the two.  A change that keeps every report leaves the dump
 byte-identical:
 
     PYTHONPATH=src python3 scripts/verdict_dump.py > new.txt
@@ -30,10 +36,13 @@ from math import prod
 
 import satmat.saturation as saturation
 from satmat import (
+    BudgetExceededError,
     Embedding,
     Matrix01,
+    SearchBudget,
     Shape,
     embeddings_count,
+    exact_ssat,
     is_saturating,
     is_semisaturating,
     offset_block,
@@ -129,11 +138,19 @@ def line(path, name, m, p):
     )
 
 
+def search_set_up(shape, p):
+    """``exact_ssat`` on (shape, p), stopped at its first branch-and-bound
+    node: each selection counts as a node of the set-up."""
+    count = embeddings_count(shape, p)
+    try:
+        exact_ssat(shape, p, SearchBudget(max_cells=shape.cell_count, node_limit=count))
+    except BudgetExceededError:
+        pass
+
+
 def dump(small):
-    if small:
-        pairs = instances(60)
-    else:
-        pairs = instances(4000) + long_instances(30) + offset_instances(80)
+    seeded = instances(60 if small else 4000)
+    pairs = seeded if small else seeded + long_instances(30) + offset_instances(80)
     for path, limit in (("sweep", saturation.SWEEP_LIMIT), ("per-flip", -1)):
         saved = saturation.SWEEP_LIMIT
         saturation.SWEEP_LIMIT = limit
@@ -143,6 +160,11 @@ def dump(small):
                     yield line(path, name, m, p)
         finally:
             saturation.SWEEP_LIMIT = saved
+    for m, p in seeded:
+        if p.weight:
+            search_set_up(m.shape, p)
+        for name in VERDICTS:
+            yield line("rows", name, m, p)
 
 
 def main(argv=None):

@@ -59,9 +59,7 @@ def diagonal_concatenation(a: Matrix01, b: Matrix01) -> Matrix01:
     _check_cell_limit(out_shape)
     flats = []
     for block, shift in ((a, (0,) * len(l)), (b, l)):
-        # the 1s read off the cell string, as iter_ones is quadratic in them
-        ones = (c for c, v in zip(block.shape.cells(), cell_string(block)) if v == "1")
-        flats += (out_shape._flat(tuple(map(add, c, shift))) for c in ones)
+        flats += (out_shape._flat(tuple(map(add, c, shift))) for c in block.iter_ones())
     return Matrix01(out_shape, _packed(out_shape.cell_count, flats))
 
 

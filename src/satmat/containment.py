@@ -30,7 +30,9 @@ sweep verdicts read ``image_columns``, the images stored cell-major (per
 host cell, one bit per selection).  That table is built either from the
 same walk, one step per (selection, pattern 1-entry), or one big-int
 product per (pattern prefix, host cell) from per-dimension Kronecker
-products, whichever has fewer.
+products, whichever has fewer.  ``_search_rows`` holds the rows of the
+latest exact search, which the verdicts on its (shape, pattern) read
+instead of a table.
 
 Pure functions over immutable values throughout; a plan only memoises
 set-up, and its pieces are never written.
@@ -569,6 +571,15 @@ def image_columns(host_shape: Shape, p: Matrix01) -> tuple[int, ...]:
     if embeddings_count(host_shape, p) * len(ones) < max(kron):
         return _transposed(host_shape, p)
     return _kronecker(host_shape, p)
+
+
+# The rows of the latest exact search after its (host shape, pattern), or
+# None: ``exact._search`` writes the one item while they take at most
+# ENUMERATION_LIMIT bits, and the verdicts on that (shape, pattern) read it
+# in place of ``image_columns``, as they usually check the search's witness
+# next.  A one-item list rewritten in place: a dict would hash the shape and
+# the pattern on every write and read, 0.4 µs each.
+_search_rows: list[tuple | None] = [None]
 
 
 def _embedding_at(host_shape: Shape, p_shape: Shape, k: int) -> Embedding:

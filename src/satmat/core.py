@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, compress, count, product
 from math import prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -410,13 +410,18 @@ class Matrix01:
         return out
 
     def iter_ones(self) -> Iterator[Coord]:
+        """The 1-cells in row-major order, in time linear in the cell count."""
         bits = self.bits
+        if self.shape.cell_count > _PEEL_CELLS:
+            yield from map(self.shape.coord_at, compress(count(), _flags(bits)))
+            return
         while bits:
             low = bits & -bits
             yield self.shape.coord_at(low.bit_length() - 1)
             bits ^= low
 
     def iter_zeros(self) -> Iterator[Coord]:
+        """The 0-cells in row-major order, in time linear in the cell count."""
         return Matrix01(self.shape, self.shape.full_mask ^ self.bits).iter_ones()
 
     # -- containment kernel support: the run of cells along the last
@@ -442,6 +447,24 @@ def _packed(count: int, flats: Iterable[int]) -> int:
     for k in flats:
         buf[k] = 49  # ord("1")
     return int(buf[::-1], 2)
+
+
+# the binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+# Matrix01.iter_ones peels the bits of hosts of at most this many cells, one
+# int copy per 1: on a few words that beats the flag bytes' fixed cost (at
+# 64 cells the flags read ×0.75–0.8 on dense hosts and ×1.1 a tenth full)
+_PEEL_CELLS = 64
+
+
+def _flags(bits: int) -> bytes:
+    """Byte k is 1 iff bit k of ``bits`` is set, up to its highest set bit.
+
+    ``bits`` read as a reversed binary numeral, in one linear pass: a flag
+    string for ``itertools.compress``, which stops at the shorter input.
+    """
+    return bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
 
 
 def _toggled(lines: list[int], flat: int, n_last: int) -> list[int]:

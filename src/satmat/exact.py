@@ -68,7 +68,13 @@ from .constructions import (
     has_corner_only_shell,
     identity_pattern,
 )
-from .containment import ENUMERATION_LIMIT, _check_dims, embeddings_count, image_offsets
+from .containment import (
+    ENUMERATION_LIMIT,
+    _check_dims,
+    _search_rows,
+    embeddings_count,
+    image_offsets,
+)
 from .core import Matrix01, Shape, _packed, diagonals
 
 DEFAULT_BNB_CELLS = 30  # exact_ex / exact_sat
@@ -324,6 +330,10 @@ def _search(
     support table could exceed ``ENUMERATION_LIMIT`` supports, or whose
     rows could take more than ``_ROW_BITS`` bits in all, is refused before
     any table is built.  Aborts in the search carry the proven bounds.
+    Once built, ``keep``, ``guard``, ``base`` and ``guard_of`` replace the
+    rows of the previous search in ``containment._search_rows`` if they take
+    at most ``ENUMERATION_LIMIT`` bits (cells × width), else that slot is
+    emptied: the verdicts on (shape, p), such as the witness's, read them.
 
     The avoiding searches (``sat``, ``ex``) also keep a frontier table at
     the line starts t of ``_frontier_masks``.  Each field holds its supports
@@ -404,6 +414,8 @@ def _search(
     del images, held
     guard = _packed(width, (g.bit_length() - 1 for g in guard_of))
     base = (guard << 1 | 1) ^ 1 << width  # a field starts above the guard below
+    fits = cc * width <= ENUMERATION_LIMIT
+    _search_rows[0] = ((shape, p), keep, guard, base, guard_of) if fits else None
     live = full ^ guard
     lives = ((live | guard) - base) & guard
 

@@ -9,18 +9,29 @@ For an all-zero pattern we follow the convention that keeps the minimum
 saturating weight at zero: is_saturating is true exactly for the all-zero
 matrix and is_semisaturating is true for every matrix.
 
-Both verdicts share one decision.  Either path reads the host's 0-cells
-off one flag byte per cell, made from the inverted bits in one pass, and
-``itertools.compress`` gathers them in C.  While the table holds at most
-``SWEEP_LIMIT`` bits per search that the other path would run, they sweep
-the cached cell-major selection table (``containment.image_columns``: per
-host cell, the selections whose image holds it) over the 0-cells' columns:
-a selection whose image holds none of them is a pre-existing copy, the
-lowest one being the lexicographically least, and a selection whose image
-holds exactly one 0-cell makes that cell a productive flip.  Otherwise the
-table costs more than it saves, so they run one pinned search per 0-cell,
-which asks whether the flipped host has a copy through that cell.  Both
-paths give the same verdicts and the same counterexamples: the
+Both verdicts share one decision, read from one of three sources.  Each
+reads the host's 0-cells off one flag byte per cell, made from the
+inverted bits in one pass, and ``itertools.compress`` gathers them in C.
+
+- Right after an exact search on the host's (shape, pattern), the rows it
+  kept (``containment._search_rows``): per cell, the supports it leaves
+  live when decided 0, each support being a selection's image less one
+  cell, its owner.  ANDing the 0-cells' rows leaves the supports inside
+  the 1-set; a 0-cell is a productive flip iff one of its own is left, and
+  the host holds a copy iff a 1-cell's is, the least copy then coming from
+  ``contains``.
+- While the table holds at most ``SWEEP_LIMIT`` bits per search that the
+  per-flip path would run, the cached cell-major selection table
+  (``containment.image_columns``: per host cell, the selections whose
+  image holds it), swept over the 0-cells' columns: a selection whose
+  image holds none of them is a pre-existing copy, the lowest one being
+  the lexicographically least, and a selection whose image holds exactly
+  one 0-cell makes that cell a productive flip.
+- Otherwise the table costs more than it saves: one pinned search per
+  0-cell, which asks whether the flipped host has a copy through that
+  cell, on one private copy of the host's line table per verdict.
+
+All three give the same verdicts and the same counterexamples: the
 row-major-first dead flip, or the lexicographically least copy.
 """
 
@@ -29,27 +40,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import and_, or_
 
 from .containment import (
     Embedding,
     _check_dims,
     _embedding_at,
-    _lines_with_flip,
     _pinned_hits,
     _plan,
+    _search_rows,
     contains,
     embeddings_count,
     image_columns,
 )
-from .core import Coord, Matrix01
+from .core import Coord, Matrix01, _flags
 
 # table bits (selections × cells) per search of the per-flip path, one per
 # 0-cell plus one (``contains``); beyond this the verdicts use that path
 SWEEP_LIMIT = 1 << 16
-
-# the binary digits "0" and "1" as the bytes 0 and 1, for itertools.compress
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -79,11 +87,26 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
     For a nonzero pattern.  When m avoids p, a copy created by a flip must
     use the flipped cell, so the same test serves both verdicts.
     """
-    count = embeddings_count(m.shape, p)
     cells = m.shape.cell_count
-    # byte k is 1 iff cell k is a 0-cell: the inverted bits as a reversed
-    # binary numeral, which stops at m's highest 0-cell
-    flags = bin(m.shape.full_mask ^ m.bits)[:1:-1].encode().translate(_DIGIT_BYTES)
+    flags = _flags(m.shape.full_mask ^ m.bits)  # byte k is 1 iff cell k is a 0-cell
+    kept = _search_rows[0]
+    if kept is not None and kept[0] == (m.shape, p):
+        _, keep, guard, base, guard_of = kept
+        # the supports that hold no 0-cell (from -1: all of them), then the
+        # guards of the cells owning one; a support is an image less its owner
+        live = reduce(and_, compress(keep, flags), -1)
+        owners = ((live | guard) - base) & guard
+        zeros = reduce(or_, compress(guard_of, flags), 0)
+        if must_avoid and owners & ~zeros:
+            return SaturationReport(False, "contains_pattern", contains(m, p))
+        dead = zeros & ~owners
+        if not dead:
+            return _OK
+        # the first dead flip: a cell has as many guards below its own
+        z = (guard & (dead & -dead) - 1).bit_count()
+        return SaturationReport(False, "dead_flip", m.shape.coord_at(z))
+
+    count = embeddings_count(m.shape, p)
     if count * cells <= SWEEP_LIMIT * (cells - m.weight + 1):
         # per 0-cell, its column: the selections whose image holds it
         zcols = [*compress(image_columns(m.shape, p), flags)]
@@ -114,10 +137,18 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
         if emb is not None:
             return SaturationReport(False, "contains_pattern", emb)
     plan = _plan(m.shape.extents, p)
-    for z in map(m.shape.coord_at, compress(range(cells), flags)):
-        hits = _pinned_hits(_lines_with_flip(m, z), plan, z)
-        if next(hits, None) is None:
-            return SaturationReport(False, "dead_flip", z)
+    n_last = m.shape.extents[-1]
+    lines = m._last_lines[:]  # one private copy: each flip is toggled in, then out
+    for z in compress(range(cells), flags):
+        j, x = divmod(z, n_last)
+        anchor = m.shape.coord_at(z)
+        lines[j] ^= 1 << x
+        try:
+            hit = next(_pinned_hits(lines, plan, anchor), None)
+        finally:
+            lines[j] ^= 1 << x
+        if hit is None:
+            return SaturationReport(False, "dead_flip", anchor)
     return _OK
 
 

@@ -1,11 +1,20 @@
 import math
 
+import pytest
 from hypothesis import settings, strategies as st
 
 from satmat import Matrix01, Shape
+from satmat.containment import _search_rows
 
 settings.register_profile("satmat", deadline=None, max_examples=100)
 settings.load_profile("satmat")
+
+
+@pytest.fixture(autouse=True)
+def no_search_rows():
+    """Each test starts with no exact search's rows kept, so its verdicts
+    take the path it forces, whatever test ran before."""
+    _search_rows[0] = None
 
 
 def shapes(max_d=3, max_extent=4, max_cells=12):

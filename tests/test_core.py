@@ -248,6 +248,27 @@ class TestMatrix01:
         assert all(m.get(c) == 1 for c in ones)
         assert all(m.get(c) == 0 for c in zeros)
 
+    @given(
+        shapes(max_extent=16, max_cells=400),
+        st.randoms(use_true_random=False),
+        st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+    )
+    def test_iteration_against_the_definition(self, shape, rng, density):
+        # both sides of the switch: bits peeled up to 64 cells, flag bytes above
+        m = Matrix01(shape, sum(1 << k for k in range(shape.cell_count) if rng.random() < density))
+        assert list(m.iter_ones()) == [c for c in shape.cells() if m.get(c)]
+        assert list(m.iter_zeros()) == [c for c in shape.cells() if not m.get(c)]
+
+    def test_walking_a_million_cells_is_linear(self):
+        # peeling a bit at a time copies the int per cell: a quadratic walk
+        # of a million cells takes about a minute
+        shape = Shape((1000, 1000))
+        start = time.perf_counter()
+        assert sum(1 for _ in Matrix01.filled(shape).iter_ones()) == 10**6
+        assert sum(1 for _ in Matrix01.zeros(shape).iter_zeros()) == 10**6
+        assert next(Matrix01.filled(shape).iter_zeros(), None) is None
+        assert time.perf_counter() - start < 10.0
+
     @given(matrix_of_random_shape())
     def test_flip_involution(self, m):
         for c in list(m.shape.cells())[:4]:

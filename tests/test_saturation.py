@@ -4,18 +4,25 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import oracles
+import satmat.containment as containment
+import satmat.core as core
 import satmat.saturation as saturation
-from conftest import host_and_pattern
+from conftest import host_and_pattern, shapes
 from satmat import (
+    BudgetExceededError,
     Embedding,
     Matrix01,
     SaturationReport,
+    SearchBudget,
     Shape,
     avoids,
     contains,
+    embeddings_count,
+    exact_sat,
+    exact_ssat,
     greedy_saturate,
     identity_layers,
     identity_pattern,
@@ -323,3 +330,101 @@ class TestZeroCellWalk:
         start = time.perf_counter()
         assert is_saturating(m, I2) == SaturationReport(True)
         assert time.perf_counter() - start < 15.0
+
+    def test_per_flip_verdict_copies_the_line_table_once(self, monkeypatch):
+        # one private copy per verdict, each flip toggled in and back out
+        rng = random.Random(27)
+        hosts = [Matrix01(Shape((5, 5)), rng.randrange(1 << 25)) for _ in range(20)]
+        hosts += [identity_layers(Shape((5, 5)), 1), Matrix01.zeros(Shape((5, 5)))]
+        verdicts = (is_saturating, is_semisaturating)
+        want = [[v(m, I2) for v in verdicts] for m in hosts]
+        toggled, calls = core._toggled, []
+
+        def counted(*args):
+            calls.append(args)
+            return toggled(*args)
+
+        monkeypatch.setattr(core, "_toggled", counted)
+        monkeypatch.setattr(containment, "_toggled", counted)
+        monkeypatch.setattr(saturation, "SWEEP_LIMIT", -1)
+        for m, reports in zip(hosts, want):
+            lines = list(m._last_lines)
+            for v, rep in zip(verdicts, reports):
+                calls.clear()
+                assert v(m, I2) == rep
+                assert len(calls) <= 1
+            assert m._last_lines == lines
+        assert want[-2] == [SaturationReport(True)] * 2
+
+
+@st.composite
+def searched_hosts(draw):
+    """A host shape of at most 16 cells, d ≤ 3, and a nonzero pattern of at
+    most 3 per extent (it may not fit, and may have one 1); hosts follow."""
+    shape = draw(shapes(max_cells=16))
+    ext = tuple(draw(st.lists(st.integers(1, 3), min_size=shape.d, max_size=shape.d)))
+    cells = prod(ext)
+    if draw(st.booleans()):
+        p = Matrix01(Shape(ext), 1 << draw(st.integers(0, cells - 1)))
+    else:
+        p = Matrix01(Shape(ext), draw(st.integers(1, (1 << cells) - 1)))
+    host = Matrix01(shape, draw(st.integers(0, shape.full_mask)))
+    return shape, p, host, draw(st.integers(0, shape.cell_count - 1))
+
+
+class TestSearchRows:
+    """After an exact search on (shape, p), the verdicts on that (shape, p)
+    read the search's rows and build no table."""
+
+    @staticmethod
+    def _reports(m, p):
+        return [is_saturating(m, p), is_semisaturating(m, p)]
+
+    @given(searched_hosts())
+    def test_rows_reports_match_both_table_paths(self, drawn):
+        shape, p, random_host, k = drawn
+        try:
+            witness = exact_ssat(shape, p, SearchBudget(node_limit=100_000)).witness
+        except BudgetExceededError:  # the rows are built before the search
+            witness = random_host
+        assert containment._search_rows[0][0] == (shape, p)
+        # the witness, a host one flip away from it, and a random host
+        hosts = [witness, Matrix01(shape, witness.bits ^ 1 << k), random_host]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saturation, "image_columns", TestSweepSwitch._refuse)
+            mp.setattr(saturation, "_pinned_hits", TestSweepSwitch._refuse)
+            rows = [self._reports(m, p) for m in hosts]
+        containment._search_rows[0] = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saturation, "SWEEP_LIMIT", 1 << 62)
+            sweep = [self._reports(m, p) for m in hosts]
+            mp.setattr(saturation, "SWEEP_LIMIT", -1)
+            per_flip = [self._reports(m, p) for m in hosts]
+        assert rows == sweep == per_flip
+        assert rows[0][1] == SaturationReport(True) or witness is random_host
+
+    def test_the_slot_holds_the_latest_search(self):
+        exact_ssat(Shape((3, 3)), I2)
+        exact_sat(Shape((4, 4)), I2)
+        assert containment._search_rows[0][0] == (Shape((4, 4)), I2)
+
+    def test_rows_past_the_bound_leave_no_slot(self, monkeypatch):
+        # I2 on 12×12: 144 cells × (144 + 8,712 supports) bits, above
+        # ENUMERATION_LIMIT; the search stops at its first node, after its rows
+        shape = Shape((12, 12))
+        exact_ssat(Shape((3, 3)), I2)
+        budget = SearchBudget(max_cells=144, node_limit=embeddings_count(shape, I2))
+        with pytest.raises(BudgetExceededError):
+            exact_ssat(shape, I2, budget)
+        assert containment._search_rows == [None]
+        built = []
+        columns = saturation.image_columns
+
+        def counted(*args):
+            built.append(args)
+            return columns(*args)
+
+        monkeypatch.setattr(saturation, "image_columns", counted)
+        m = identity_layers(shape, 1)
+        assert is_saturating(m, I2) == SaturationReport(True)
+        assert built == [(shape, I2)]

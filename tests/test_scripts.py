@@ -48,7 +48,11 @@ def test_verdict_dump_small(capsys):
     assert main(["--small"]) == 0
     rows = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
     assert rows[0][:2] == ("sweep", "sat")
-    assert {r[0] for r in rows} == {"sweep", "per-flip"}
+    assert {r[0] for r in rows} == {"sweep", "per-flip", "rows"}
+    # each section answers every instance, the rows section after a search
+    paths = [r[0] for r in rows]
+    assert paths.count("sweep") == paths.count("per-flip") == paths.count("rows")
+    assert [r[1:] for r in rows if r[0] == "rows"] == [r[1:] for r in rows if r[0] == "sweep"]
     # (path, verdict, host, pattern, verdict, failure kind, counterexample)
     assert all(len(r) == 7 and isinstance(r[4], bool) for r in rows)
 
@@ -161,17 +165,21 @@ def test_bench_layers_small():
         first, second = row["sides"]
         assert 1 <= row["searches_per_flip"] <= row["entries"]
         assert first["anchored_us"]["median"] > 0 and second["anchored_us"]["ratio"] > 0
-    # the exact rows: a C07 ssat pass and its set-up, a support walk, a sat
-    # search, with each side's nodes
+    # the exact rows: a C07 ssat pass and its set-up, the verdicts on its
+    # witnesses, a support walk, a sat search, with each side's nodes
     exact = {row["row"]: row for row in data["exact"]}
-    assert set(exact) == {"exact_ssat C07 n=3", "_support_tables I2 4x4", "exact_sat I2 4x4"}
+    assert set(exact) == {"exact_ssat C07 n=3", "is_semisaturating C07 n=3",
+                          "_support_tables I2 4x4", "exact_sat I2 4x4"}
     c07 = exact["exact_ssat C07 n=3"]
     assert (c07["n"], c07["patterns"], c07["unit"]) == (3, 20, "ms")
+    witness = exact["is_semisaturating C07 n=3"]
+    assert (witness["n"], witness["patterns"], witness["unit"]) == (3, 20, "us")
     walk = exact["_support_tables I2 4x4"]
     assert (walk["selections"], walk["supports"], walk["unit"]) == (36, 72, "us")
     sat = exact["exact_sat I2 4x4"]
     assert (sat["value"], sat["unit"]) == (7, "ms")
     figures = {"exact_ssat C07 n=3": ["pass_ms", "setup_ms"],
+               "is_semisaturating C07 n=3": ["after_us", "cold_us"],
                "_support_tables I2 4x4": ["walk_us"], "exact_sat I2 4x4": ["search_ms"]}
     for name, row in exact.items():
         first, second = row["sides"]
