@@ -17,8 +17,8 @@ two paths of ``is_saturating``/``is_semisaturating``, and I2's offset blocks
   (1 build + 2 walks);
 - ``walk``: both verdicts walking the table built beforehand, the pass over
   the host's 0-cells alone, timed over repeated calls;
-- ``per_flip``: both verdicts by one pinned search per 0-cell, with a cold
-  kernel plan.
+- ``per_flip``: both verdicts on the per-flip path, with a cold kernel
+  plan.
 
 Each figure is the best of 3 runs in a round, in ms; a side gives the
 median and quartiles over rounds, and ``chosen``, the path its library
@@ -36,6 +36,14 @@ nested layers or a greedy host in a seeded cell order, and
 ``searches_per_flip`` counts the pattern 1-entries that can be pinned at
 the flipped cell, one pinned search each.  Patterns of more entries run
 more searches per flip, which the end-to-end medians mix.
+
+The ``per_flip`` rows time, in ms, per-flip verdicts (``SWEEP_LIMIT``
+forced to -1) on a cold kernel plan: the ones satbench's ``large_hosts``
+workload asks of its hosts, ``is_semisaturating`` of I2 on its 45^2 corner
+block (``corner_block``) and of I3 on 18^2 and I2 on 12^3 greedy hosts,
+and ``is_saturating`` of I2 and I4 on the 300^2 nested layers.  Each side
+gives its ``searches``, the kernel searches (``containment._search`` calls)
+of one verdict.
 
 The ``exact`` rows time the exact search:
 
@@ -63,9 +71,10 @@ median to the first's and the rounds in which the second was faster.
 The JSON report goes to stdout.  The exit status is 1 if the two paths of a
 side disagree on a verdict report, a witness verdict's after the search and
 cold too, or the two sides on an anchored witness or on an exact search's
-value or witness.  ``--small`` runs tiny instances in 1 round of 1 run (the
-C07 rows at n = 3 on 20 of the patterns), as a smoke test.  Only the
-standard library, satmat and ``bench_pairs.py`` are used.
+value or witness, or on a per-flip verdict.  ``--small`` runs tiny
+instances in 1 round of 1 run (the C07 rows at n = 3 on 20 of the
+patterns), as a smoke test.  Only the standard library, satmat and
+``bench_pairs.py`` are used.
 """
 
 from __future__ import annotations
@@ -97,6 +106,13 @@ FLIP_GRID = {
     True: [(2, 3, 4, False), (3, 2, 6, True)],
 }
 GREEDY_SEED = 1
+# (size s of I_s, d, n, host): the per-flip verdict rows, each asking the
+# verdict large_hosts asks of that host
+VERDICT_HOSTS = {
+    False: [(2, 2, 45, "corner"), (3, 2, 18, "greedy"), (2, 3, 12, "greedy"),
+            (2, 2, 300, "layers"), (4, 2, 300, "layers")],
+    True: [(2, 2, 7, "corner"), (3, 2, 6, "greedy"), (2, 2, 12, "layers")],
+}
 TABLE_LOOPS = {False: 200, True: 2}
 ROUNDS = {False: 7, True: 1}
 REPEAT = {False: 3, True: 1}  # runs per figure in a round
@@ -207,6 +223,35 @@ def flip_hosts(sm, grid):
             yield f"I{s} on greedy {n}^{d}", m, p
         else:
             yield f"I{s} on layers {n}^{d}", sm.identity_layers(shape, s - 1), p
+
+
+def verdict_hosts(sm, grid):
+    """(row name, verdict name, host, pattern) per per-flip verdict entry."""
+    for s, d, n, kind in grid:
+        shape, p = sm.Shape((n,) * d), sm.identity_pattern(d, s)
+        if kind == "corner":
+            m = sm.corner_block(p, n)
+        elif kind == "greedy":
+            m = sm.greedy_saturate(p, shape, sm.cell_order(shape, GREEDY_SEED))
+        else:
+            m = sm.identity_layers(shape, s - 1)
+        verdict = "is_saturating" if kind == "layers" else "is_semisaturating"
+        yield f"{verdict} I{s} on {kind} {n}^{d}", verdict, m, p
+
+
+def per_flip(side, verdict, m, p):
+    """The verdict's report of m on the per-flip path, with a cold kernel
+    plan, as (verdict, failure kind, counterexample)."""
+    sm, saturation, containment = side
+    saved = saturation.SWEEP_LIMIT
+    containment._plan.cache_clear()
+    saturation.SWEEP_LIMIT = -1
+    try:
+        rep = getattr(sm, verdict)(m, p)
+        return rep.verdict, rep.failure_kind, getattr(rep.counterexample, "selections",
+                                                      rep.counterexample)
+    finally:
+        saturation.SWEEP_LIMIT = saved
 
 
 def anchored(side, flipped, p, zeros):
@@ -326,13 +371,16 @@ def tasks(side, grid, small: bool):
         zeros = list(m.iter_zeros())
         flipped = [m.flip(z) for z in zeros]
         out[name, "anchored_us"] = partial(anchored, side, flipped, p, zeros), 1e-6 * len(zeros)
+    for name, verdict, m, p in verdict_hosts(side[0], VERDICT_HOSTS[small]):
+        out[name, "verdict_ms"] = partial(per_flip, side, verdict, m, p), 1e-3
     return {**out, **exact_tasks(side, small)}
 
 
-def describe(side, grid, flip_grid, tables) -> dict[str, dict[str, object]]:
+def describe(side, grid, flip_grid, tables, verdict_grid) -> dict[str, dict[str, object]]:
     """Per verdict row: its sizes, and the path the library takes by default;
     per long-table row: its sizes; per anchored row: its sizes, and the
-    searches per flip."""
+    searches per flip; per per-flip row: its sizes, and the side's kernel
+    searches of one verdict."""
     sm, saturation, containment = side
     built = []
     columns = saturation.image_columns
@@ -370,6 +418,21 @@ def describe(side, grid, flip_grid, tables) -> dict[str, dict[str, object]]:
         )
         out[name] = {"entries": p.weight, "zeros": len(zeros),
                      "searches_per_flip": round(pinnable / len(zeros), 2)}
+    search, calls = containment._search, []
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    for name, verdict, m, p in verdict_hosts(sm, verdict_grid):
+        calls.clear()
+        containment._search = counted
+        try:
+            per_flip(side, verdict, m, p)
+        finally:
+            containment._search = search
+        out[name] = {"cells": m.shape.cell_count, "zeros": m.shape.cell_count - m.weight,
+                     "searches": len(calls)}
     return out
 
 
@@ -402,6 +465,8 @@ def one_round(sides, grid, r: int, repeat: int, small: bool) -> list[dict]:
                 raise Disagree(f"{name}: the reports after the search and cold differ")
             if fig == "anchored_us" and rep != reports[0][name, fig]:
                 raise Disagree(f"{name}: the sides' anchored witnesses differ")
+            if fig == "verdict_ms" and rep != reports[0][name, fig]:
+                raise Disagree(f"{name}: the sides' per-flip reports differ")
             if fig in ("pass_ms", "search_ms") and answers(rep) != answers(
                     reports[0][name, fig]):
                 raise Disagree(f"{name}: the sides' values or witnesses differ")
@@ -440,12 +505,13 @@ def describe_exact(side, small: bool) -> dict[str, dict[str, object]]:
     return out
 
 
-PER_SIDE = ("chosen", "nodes")  # described figures that each side reports
+# described figures that each side reports
+PER_SIDE = ("chosen", "nodes", "searches")
 
 
 def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]:
     """Per row and figure, each side's summary, and the second side's ratio."""
-    rows, flips, exact = [], [], []
+    rows, flips, verdicts, exact = [], [], [], []
     names = dict.fromkeys(name for name, _ in runs[0][0])
     for name in names:
         figures = [fig for row, fig in runs[0][0] if row == name]
@@ -476,12 +542,14 @@ def report(srcs, runs, described, rounds: int, repeat: int) -> dict[str, object]
         row["sides"] = sides
         if figures == ["anchored_us"]:
             flips.append(row)
+        elif figures == ["verdict_ms"]:
+            verdicts.append(row)
         else:
             exact_row = name.startswith(("exact_", "is_semisaturating", "_support_tables"))
             (exact if exact_row else rows).append(row)
     return {"layer": "verdict", "rounds": rounds, "repeat": repeat,
             "environment": environment(), "rows": rows, "anchored": flips,
-            "exact": exact}
+            "per_flip": verdicts, "exact": exact}
 
 
 def main(argv=None) -> int:
@@ -499,7 +567,8 @@ def main(argv=None) -> int:
             sides = [load(src) for src in args.src]
             if r == 0:
                 described = [{**describe(side, grid, FLIP_GRID[args.small],
-                                         LONG_TABLES[args.small]),
+                                         LONG_TABLES[args.small],
+                                         VERDICT_HOSTS[args.small]),
                               **describe_exact(side, args.small)} for side in sides]
             for side_runs, best in zip(runs, one_round(sides, grid, r, repeat,
                                                        args.small)):

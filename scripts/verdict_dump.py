@@ -11,15 +11,20 @@ long dimension (``long_instances``) and 80 offset blocks of C05's patterns
 on n^d hosts for n = 5, 6 and d = 2, 3, each also with one cell flipped
 (``offset_instances``).  Every instance is answered twice: first as the
 library chooses (the whole-selection sweep at these sizes), then with
-``saturation.SWEEP_LIMIT`` forced to -1, so every verdict runs one pinned
-search per 0-cell.  Then the "rows" section answers the seeded instances
+``saturation.SWEEP_LIMIT`` forced to -1, so every verdict takes the
+per-flip path.  Then the "rows" section answers the seeded instances
 again, each right after an ``exact_ssat`` on its (shape, pattern), stopped
 by a node limit at its first branch-and-bound node: the search's rows are
 built by then, and a version that keeps them answers from them while they
 fit its bound (an all-zero pattern runs no search).  Run on a version
 without them, the section repeats the table path, so comparing two versions
-compares the two.  A change that keeps every report leaves the dump
-byte-identical:
+compares the two.  Last, the "large" section answers larger hosts with
+``SWEEP_LIMIT`` forced to -1: corner blocks, nested layers and greedy hosts
+of I2, I3 and I4 on 2-D hosts and of I2 on 3-D ones, each also with one
+1-cell and one 0-cell flipped (``large_instances``).  Their per-flip
+verdicts run long stretches of productive flips, where one flip's copy
+usually still answers the next.  A change that keeps every report leaves
+the dump byte-identical:
 
     PYTHONPATH=src python3 scripts/verdict_dump.py > new.txt
     PYTHONPATH=../parent/src python3 scripts/verdict_dump.py > old.txt
@@ -41,8 +46,13 @@ from satmat import (
     Matrix01,
     SearchBudget,
     Shape,
+    cell_order,
+    corner_block,
     embeddings_count,
     exact_ssat,
+    greedy_saturate,
+    identity_layers,
+    identity_pattern,
     is_saturating,
     is_semisaturating,
     offset_block,
@@ -120,6 +130,26 @@ def offset_instances(count):
     return out
 
 
+def large_instances(small):
+    """Per size s of I_s in 2, 3, 4 on n×n hosts (n = 9, or 9 and 12), and
+    for I2 on 4^3 (and 5^3): the corner block (2-D only), the nested layers
+    and a greedy host in a seeded cell order, each followed by the host with
+    a seeded 1-cell and a seeded 0-cell flipped."""
+    rng = random.Random(4)
+    sizes = [(s, 2, n) for s in (2, 3, 4) for n in ((9,) if small else (9, 12))]
+    sizes += [(2, 3, n) for n in ((4,) if small else (4, 5))]
+    out = []
+    for s, d, n in sizes:
+        shape, p = Shape((n,) * d), identity_pattern(d, s)
+        hosts = [corner_block(p, n)] if d == 2 else []
+        hosts += [identity_layers(shape, s - 1),
+                  greedy_saturate(p, shape, cell_order(shape, rng.randrange(1 << 30)))]
+        for m in hosts:
+            out += [(m, p), (m.flip(rng.choice(list(m.iter_ones()))), p),
+                    (m.flip(rng.choice(list(m.iter_zeros()))), p)]
+    return out
+
+
 def line(path, name, m, p):
     rep = VERDICTS[name](m, p)
     cx = rep.counterexample
@@ -165,6 +195,14 @@ def dump(small):
             search_set_up(m.shape, p)
         for name in VERDICTS:
             yield line("rows", name, m, p)
+    saved = saturation.SWEEP_LIMIT
+    saturation.SWEEP_LIMIT = -1
+    try:
+        for m, p in large_instances(small):
+            for name in VERDICTS:
+                yield line("large", name, m, p)
+    finally:
+        saturation.SWEEP_LIMIT = saved
 
 
 def main(argv=None):

@@ -22,7 +22,9 @@ which is what "the new copy must use the flipped cell" amounts to; every
 anchored question (``anchored_contains``, ``potentially_matches``, the
 per-flip saturation verdicts, the greedy construction) goes through the one
 pinned search ``_pinned_hits``, one search per pinnable pattern 1-entry,
-and the least anchored embedding is the least of their hits.  Questions
+and the least anchored embedding is the least of their hits; a per-flip
+verdict first moves the last flip's copy to the next 0-cell, and searches
+only if the moved selection is no copy.  Questions
 about every selection at once walk the selections in lexicographic
 selection order (``image_offsets``): the exact search tables and
 ``enumerate_embeddings`` take each selection's image as it comes, and the
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, count, product
 from math import comb, prod
-from operator import lt, mul, or_
+from operator import itemgetter, lt, mul, or_
 
 from .core import Coord, Matrix01, Shape, _toggled
 
@@ -185,7 +187,9 @@ class _Plan(dict):
         self.cut = self.firsts[-1]  # the first position of dimension d-2
         # the first position of dimension d-3, which checks ahead; d = 2 has none
         self.pre = self.size - len(self.work)
-        self.pstr = [prod(n_ext[k + 1 : -1]) for k in range(len(n_ext) - 3)]
+        # the line stride of each prefix dimension, the host line of a
+        # prefix being the sum of its indices times these
+        self.pstr = [prod(n_ext[k + 1 : -1]) for k in range(len(n_ext) - 1)]
         self.room = _CACHED
 
     def __missing__(self, pin):
@@ -359,25 +363,53 @@ def contains(m: Matrix01, p: Matrix01) -> Embedding | None:
     return None if sel is None else _to_embedding(sel[len(plan.head) :])
 
 
-def _pinned_hits(lines, plan, anchor: Coord, entries=None):
-    """Yield per pinnable pattern 1-entry its least 0-based selection pinning it.
+def _pinned_hits(lines, plan, anchor: Coord, entries=None, last=None):
+    """Yield (entry, selection) pairs: copies mapping a 1-entry onto the anchor.
 
     The only caller of ``_search`` with pins.  ``lines`` is a host line
     table, ``plan`` its ``_Plan``, ``anchor`` a 1-based host cell, and
     ``entries`` the 0-based pattern 1-entries, in the plan's dimensions, to
     pin at the anchor (default: all, row-major).  An entry is pinnable when
     no piece of its pins is None: in every dimension, the pattern cells
-    before and after it fit on either side of the anchor.  Each entry's
-    search stands alone: the first hit answers existence, and the least of
-    all hits is the least anchored embedding.
+    before and after it fit on either side of the anchor.  Per pinnable
+    entry with a copy, the pair is the entry and its least 0-based
+    selection vector pinning it, in the plan's dimensions.  Each entry's
+    search stands alone, so the least selection of all pairs is the least
+    anchored embedding.
+
+    ``last``, a pair yielded at another anchor of the same plan, is tried
+    first, with no search: its entry's index is moved to the anchor in every
+    dimension.  If every dimension stays strictly ascending and every
+    pattern 1-entry then lands on a 1 of ``lines``, the moved copy is
+    yielded before any search runs.  It need not be the least, so only a
+    caller that asks for existence, taking the first pair, passes ``last``.
     """
     a0 = plan.head + tuple(x - 1 for x in anchor)
+    if last is not None:
+        o0, sel = last
+        moved = []
+        for o, x, s in zip(o0, a0, sel):
+            if s[o] != x:
+                # the moved index must stay between its neighbours
+                if o and s[o - 1] >= x or o + 1 < len(s) and s[o + 1] <= x:
+                    break
+                s = s[:o] + (x,) + s[o + 1 :]
+            moved.append(s)
+        else:
+            *pre, tail = moved
+            for o in plan.ones:
+                # the host line of o's prefix, then o's index in the line
+                line = sum(map(mul, map(tuple.__getitem__, pre, o), plan.pstr))
+                if not lines[line] >> tail[o[-1]] & 1:
+                    break
+            else:
+                yield o0, tuple(moved)
     for o0 in plan.ones if entries is None else entries:
         pieces = list(map(plan.__getitem__, zip(count(), o0, a0)))
         if all(pieces):
             sel = _search(lines, plan, pieces)
             if sel is not None:
-                yield sel[len(plan.head) :]
+                yield o0, sel
 
 
 def _lines_with_flip(m: Matrix01, z: Coord) -> list[int]:
@@ -396,9 +428,10 @@ def anchored_contains(m: Matrix01, p: Matrix01, anchor: Coord) -> Embedding | No
         raise ValueError(f"anchor {anchor} out of bounds")
     if not m.bits >> m.shape._flat(anchor) & 1:
         raise ValueError(f"anchor {anchor} is a 0-entry")
-    hits = _pinned_hits(m._last_lines, _plan(m.shape.extents, p), anchor)
-    best = min(hits, default=None)
-    return None if best is None else _to_embedding(best)
+    plan = _plan(m.shape.extents, p)
+    hits = _pinned_hits(m._last_lines, plan, anchor)
+    best = min(hits, key=itemgetter(1), default=None)
+    return None if best is None else _to_embedding(best[1][len(plan.head) :])
 
 
 def potentially_matches(m: Matrix01, z: Coord, p: Matrix01, o: Coord) -> bool:

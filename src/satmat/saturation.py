@@ -27,9 +27,15 @@ inverted bits in one pass, and ``itertools.compress`` gathers them in C.
   image holds none of them is a pre-existing copy, the lowest one being
   the lexicographically least, and a selection whose image holds exactly
   one 0-cell makes that cell a productive flip.
-- Otherwise the table costs more than it saves: one pinned search per
-  0-cell, which asks whether the flipped host has a copy through that
-  cell, on one private copy of the host's line table per verdict.
+- Otherwise the table costs more than it saves: per 0-cell, whether the
+  flipped host has a copy through that cell, on one private copy of the
+  host's line table per verdict.  The copy found for the previous 0-cell
+  is tried first, the pattern 1-entry it pinned moved to this cell in
+  every dimension: if the selection still ascends and every 1-entry lands
+  on a 1, the flip is productive and nothing is searched.  Otherwise one
+  pinned search runs per pinnable 1-entry until one finds a copy, which
+  the next 0-cell tries in turn.  Only existence is asked, so a move that
+  fails proves nothing and changes no report.
 
 All three give the same verdicts and the same counterexamples: the
 row-major-first dead flip, or the lexicographically least copy.
@@ -139,12 +145,13 @@ def _flip_verdict(m: Matrix01, p: Matrix01, must_avoid: bool) -> SaturationRepor
     plan = _plan(m.shape.extents, p)
     n_last = m.shape.extents[-1]
     lines = m._last_lines[:]  # one private copy: each flip is toggled in, then out
+    hit = None  # the last flip's copy, re-pinned at the next 0-cell first
     for z in compress(range(cells), flags):
         j, x = divmod(z, n_last)
         anchor = m.shape.coord_at(z)
         lines[j] ^= 1 << x
         try:
-            hit = next(_pinned_hits(lines, plan, anchor), None)
+            hit = next(_pinned_hits(lines, plan, anchor, last=hit), None)
         finally:
             lines[j] ^= 1 << x
         if hit is None:

@@ -19,7 +19,9 @@ from satmat import (
     SearchBudget,
     Shape,
     avoids,
+    cell_order,
     contains,
+    corner_block,
     embeddings_count,
     exact_sat,
     exact_ssat,
@@ -428,3 +430,142 @@ class TestSearchRows:
         m = identity_layers(shape, 1)
         assert is_saturating(m, I2) == SaturationReport(True)
         assert built == [(shape, I2)]
+
+
+# patterns whose 1-entries share a rank with another entry, so moving one
+# entry to a new anchor moves the others' cells too
+SHARED_RANKS = [
+    Matrix01.from_nested([[1, 1], [1, 0]]),
+    Matrix01.from_nested([[1, 0, 1]]),
+    Matrix01.from_nested([[[1, 0], [0, 1]], [[0, 0], [1, 0]]]),
+    Matrix01.from_nested([[[1, 1], [0, 0]], [[1, 0], [0, 1]]]),
+]
+
+
+class TestRepin:
+    """A per-flip verdict first tries the last flip's copy, its pinned entry
+    moved to the next 0-cell, and searches only when that is no copy."""
+
+    @staticmethod
+    def _next_hit(m, p, anchor, last=None):
+        """The first hit of m with the 0-cell anchor flipped."""
+        plan = containment._plan(m.shape.extents, p)
+        lines = containment._lines_with_flip(m, anchor)
+        return next(containment._pinned_hits(lines, plan, anchor, last=last), None)
+
+    @pytest.mark.parametrize(
+        "p, ones, a, b",
+        [
+            # [[1,1],[1,0]] pinned at (1,1): rows (1,2), columns (1,4); at
+            # (1,3) the columns (3,4) ascend but (2,3) is a 0
+            ([[1, 1], [1, 0]], [(1, 4), (2, 1)], (1, 1), (1, 3)),
+            # a 2×2×2 pattern of weight 3: the moved last index takes
+            # (1,1,0)'s cell onto a 0
+            ([[[1, 0], [0, 1]], [[0, 0], [1, 0]]], [(1, 3, 4), (2, 3, 1)],
+             (1, 1, 1), (1, 1, 2)),
+            # weight 4, the moved entry sharing a rank in every dimension
+            ([[[1, 1], [0, 0]], [[1, 0], [0, 1]]], [(1, 1, 3), (2, 1, 1), (2, 3, 3)],
+             (1, 1, 1), (1, 1, 2)),
+        ],
+        ids=["2x2", "2x2x2-weight-3", "2x2x2-weight-4"],
+    )
+    def test_an_ascending_move_onto_a_0_is_refused(self, p, ones, a, b):
+        p = Matrix01.from_nested(p)
+        shape = Shape(tuple(max(c[i] for c in ones + [b]) for i in range(p.shape.d)))
+        m = Matrix01.from_ones(shape, ones)
+        o0, sel = hit = self._next_hit(m, p, a)
+        assert all(sel[i][o0[i]] == x - 1 for i, x in enumerate(a))
+        # the move ascends, so only the cell check can refuse it
+        moved = [s[:o] + (x - 1,) + s[o + 1 :] for o, x, s in zip(o0, b, sel)]
+        assert all(list(s) == sorted(set(s)) for s in moved)
+        assert self._next_hit(m, p, b, last=hit) == self._next_hit(m, p, b) is None
+
+    @pytest.mark.parametrize(
+        "p, bits, a, b, want",
+        [
+            # I2 on 2×2: the columns would not ascend, and (1,2) is dead
+            (I2, 0b1000, (1, 1), (1, 2), None),
+            # [1,0,1] on a 1-D host of 5: the pinned entry would pass the
+            # middle column, and a search finds (2,3,5)
+            ([1, 0, 1], 0b10000, (1,), (2,), ((0, 0), ((0,), (1, 2, 4)))),
+        ],
+        ids=["I2-2x2", "1-D"],
+    )
+    def test_a_move_that_does_not_ascend_is_refused(self, p, bits, a, b, want):
+        p = p if isinstance(p, Matrix01) else Matrix01.from_nested(p)
+        n = (2, 2) if p.shape.d == 2 else (5,)
+        m = Matrix01(Shape(n), bits)
+        hit = self._next_hit(m, p, a)
+        assert self._next_hit(m, p, b, last=hit) == self._next_hit(m, p, b) == want
+
+    @pytest.mark.parametrize(
+        "p, bits, n, a, b",
+        [(I2, 1 << 15, (4, 4), (1, 1), (1, 2)), ([1, 1], 0b1000, (4,), (1,), (2,))],
+        ids=["I2-4x4", "1-D"],
+    )
+    def test_a_move_onto_1s_runs_no_search(self, p, bits, n, a, b, monkeypatch):
+        p = p if isinstance(p, Matrix01) else Matrix01.from_nested(p)
+        m = Matrix01(Shape(n), bits)
+        hit = self._next_hit(m, p, a)
+        monkeypatch.setattr(containment, "_search", TestSweepSwitch._refuse)
+        o0, sel = self._next_hit(m, p, b, last=hit)
+        head = len(sel) - m.shape.d
+        e = Embedding(tuple(tuple(x + 1 for x in s) for s in sel[head:]))
+        assert containment.embedding_is_valid(m.flip(b), p, e)
+        assert e.host_cell(tuple(x + 1 for x in o0[head:])) == b
+
+    @staticmethod
+    def _hosts(p, rng):
+        """Greedy hosts of p on 6^d or 4^3 and a longer one, each also with a
+        1-cell and a 0-cell flipped: long runs of productive flips, some
+        ended by a dead flip or a copy."""
+        n = 4 if p.shape.d == 3 else 6
+        for shape in (Shape((n,) * p.shape.d), Shape((n,) * (p.shape.d - 1) + (n + 3,))):
+            for seed in (None, 1, 2):
+                m = greedy_saturate(p, shape, cell_order(shape, seed))
+                yield m
+                yield m.flip(rng.choice(list(m.iter_ones())))
+                yield m.flip(rng.choice(list(m.iter_zeros())))
+
+    @pytest.mark.parametrize("p", SHARED_RANKS + [I2, identity_pattern(2, 3)],
+                             ids=["2x2", "1x3", "2x2x2-3", "2x2x2-4", "I2", "I3"])
+    def test_per_flip_reports_match_the_sweep(self, p, monkeypatch):
+        rng = random.Random(p.bits)
+        for m in self._hosts(p, rng):
+            reports = []
+            for limit in (1 << 62, -1):  # every table swept, then none
+                monkeypatch.setattr(saturation, "SWEEP_LIMIT", limit)
+                reports.append([is_saturating(m, p), is_semisaturating(m, p)])
+            assert reports[0] == reports[1], (m, p)
+
+    def test_each_verdict_starts_without_a_copy(self, monkeypatch):
+        # verdicts of different patterns on one host shape in a row, each
+        # against the sweep: a copy kept from the verdict before would move
+        # another pattern's entry
+        rng = random.Random(28)
+        shape = Shape((5, 5))
+        patterns = [I2, identity_pattern(2, 3), SHARED_RANKS[0],
+                    Matrix01.from_nested([[0, 1], [1, 0]]), Matrix01.from_nested([[1]])]
+        hosts = [Matrix01.zeros(shape), identity_layers(shape, 1)]
+        hosts += [Matrix01(shape, rng.randrange(1 << 25)) for _ in range(6)]
+        for m in hosts:
+            for p in patterns:
+                monkeypatch.setattr(saturation, "SWEEP_LIMIT", 1 << 62)
+                want = [is_saturating(m, p), is_semisaturating(m, p)]
+                monkeypatch.setattr(saturation, "SWEEP_LIMIT", -1)
+                assert [is_saturating(m, p), is_semisaturating(m, p)] == want, (m, p)
+
+    def test_corner_blocks_run_few_searches(self, monkeypatch):
+        # I2's corner block on 45×45 has 2,021 0-cells, and a per-flip
+        # verdict without the moved copy runs a search for each
+        m = corner_block(I2, 45)
+        zeros = m.shape.cell_count - m.weight
+        search, calls = containment._search, []
+
+        def counted(*args):
+            calls.append(None)
+            return search(*args)
+
+        monkeypatch.setattr(containment, "_search", counted)
+        assert is_semisaturating(m, I2) == SaturationReport(True)
+        assert zeros == 2021 and len(calls) <= zeros // 10

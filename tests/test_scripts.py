@@ -48,11 +48,17 @@ def test_verdict_dump_small(capsys):
     assert main(["--small"]) == 0
     rows = [ast.literal_eval(text) for text in capsys.readouterr().out.splitlines()]
     assert rows[0][:2] == ("sweep", "sat")
-    assert {r[0] for r in rows} == {"sweep", "per-flip", "rows"}
-    # each section answers every instance, the rows section after a search
+    # every section, one after the other
     paths = [r[0] for r in rows]
+    order = ["sweep", "per-flip", "rows", "large"]
+    assert list(dict.fromkeys(paths)) == order and paths == sorted(paths, key=order.index)
+    # each section answers every instance, the rows section after a search
     assert paths.count("sweep") == paths.count("per-flip") == paths.count("rows")
     assert [r[1:] for r in rows if r[0] == "rows"] == [r[1:] for r in rows if r[0] == "sweep"]
+    # the larger per-flip hosts, 2-D and 3-D, some failing
+    large = [r for r in rows if r[0] == "large"]
+    assert {len(r[2][0]) for r in large} == {2, 3}
+    assert {r[5] for r in large} == {None, "dead_flip", "contains_pattern"}
     # (path, verdict, host, pattern, verdict, failure kind, counterexample)
     assert all(len(r) == 7 and isinstance(r[4], bool) for r in rows)
 
@@ -165,6 +171,19 @@ def test_bench_layers_small():
         first, second = row["sides"]
         assert 1 <= row["searches_per_flip"] <= row["entries"]
         assert first["anchored_us"]["median"] > 0 and second["anchored_us"]["ratio"] > 0
+    # the per-flip verdict rows, with each side's kernel searches per verdict
+    verdicts = {row["row"]: row for row in data["per_flip"]}
+    assert set(verdicts) == {"is_semisaturating I2 on corner 7^2",
+                             "is_semisaturating I3 on greedy 6^2",
+                             "is_saturating I2 on layers 12^2"}
+    corner = verdicts["is_semisaturating I2 on corner 7^2"]
+    assert (corner["cells"], corner["zeros"], corner["unit"]) == (49, 45, "ms")
+    for row in verdicts.values():
+        first, second = row["sides"]
+        assert [k for k in first if k != "src"] == ["verdict_ms", "searches"]
+        assert first["verdict_ms"]["median"] > 0 and second["verdict_ms"]["ratio"] > 0
+        # a search per 0-cell at most, and one more for is_saturating's contains
+        assert 0 < first["searches"] == second["searches"] <= row["zeros"] + 1
     # the exact rows: a C07 ssat pass and its set-up, the verdicts on its
     # witnesses, a support walk, a sat search, with each side's nodes
     exact = {row["row"]: row for row in data["exact"]}
