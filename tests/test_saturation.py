@@ -459,6 +459,9 @@ class TestRepin:
             # [[1,1],[1,0]] pinned at (1,1): rows (1,2), columns (1,4); at
             # (1,3) the columns (3,4) ascend but (2,3) is a 0
             ([[1, 1], [1, 0]], [(1, 4), (2, 1)], (1, 1), (1, 3)),
+            # [[1,0,1]] pinned at (1,1) in row 1: moving the shared row to 2
+            # takes (1,2)'s cell onto (2,3), a 0
+            ([[1, 0, 1]], [(1, 3)], (1, 1), (2, 1)),
             # a 2×2×2 pattern of weight 3: the moved last index takes
             # (1,1,0)'s cell onto a 0
             ([[[1, 0], [0, 1]], [[0, 0], [1, 0]]], [(1, 3, 4), (2, 3, 1)],
@@ -467,7 +470,7 @@ class TestRepin:
             ([[[1, 1], [0, 0]], [[1, 0], [0, 1]]], [(1, 1, 3), (2, 1, 1), (2, 3, 3)],
              (1, 1, 1), (1, 1, 2)),
         ],
-        ids=["2x2", "2x2x2-weight-3", "2x2x2-weight-4"],
+        ids=["2x2", "1x3", "2x2x2-weight-3", "2x2x2-weight-4"],
     )
     def test_an_ascending_move_onto_a_0_is_refused(self, p, ones, a, b):
         p = Matrix01.from_nested(p)
@@ -555,10 +558,11 @@ class TestRepin:
                 monkeypatch.setattr(saturation, "SWEEP_LIMIT", -1)
                 assert [is_saturating(m, p), is_semisaturating(m, p)] == want, (m, p)
 
-    def test_corner_blocks_run_few_searches(self, monkeypatch):
-        # I2's corner block on 45×45 has 2,021 0-cells, and a per-flip
+    @pytest.mark.parametrize("n", [30, 45])
+    def test_corner_blocks_run_few_searches(self, n, monkeypatch):
+        # I2's corner block on n×n has n^2 - 4 0-cells, and a per-flip
         # verdict without the moved copy runs a search for each
-        m = corner_block(I2, 45)
+        m = corner_block(I2, n)
         zeros = m.shape.cell_count - m.weight
         search, calls = containment._search, []
 
@@ -568,4 +572,4 @@ class TestRepin:
 
         monkeypatch.setattr(containment, "_search", counted)
         assert is_semisaturating(m, I2) == SaturationReport(True)
-        assert zeros == 2021 and len(calls) <= zeros // 10
+        assert zeros == n * n - 4 and len(calls) <= zeros // 10
